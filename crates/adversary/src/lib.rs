@@ -14,7 +14,7 @@
 //! * [`snapshot`] — persistence-layer attacks on the snapshot file
 //!   (truncation, bit flips, zero-length, stale-file replay).
 //! * [`wire`] — network-layer attacks via a byte-level fault proxy
-//!   (garbled, truncated, duplicated, and dropped frames), plus an
+//!   ([`proxy`]: garbled, truncated, duplicated, and dropped frames), plus an
 //!   overload-and-tamper phase ([`wire::run_overload_phase`], run on its
 //!   own seed budget) that saturates a small-capacity server past its
 //!   connection cap while one partition is corrupted, checking graceful
@@ -42,6 +42,7 @@
 
 pub mod engine;
 pub mod model;
+pub mod proxy;
 pub mod replphase;
 pub mod snapshot;
 pub mod storagephase;

@@ -11,8 +11,8 @@
 //! The schedule depends only on `(seed, connection index, direction,
 //! frame index)`, so a failing run is reproducible from its seed alone.
 
-use crate::protocol::{read_frame, write_frame};
-use crate::Result;
+use shield_net::protocol::{read_frame, write_frame};
+use shield_net::Result;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -6,10 +6,10 @@
 //! into silently wrong data.
 
 use crate::model::{ShadowModel, Violation};
+use crate::proxy::{FaultPlan, FaultProxy};
 use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::enclave::EnclaveBuilder;
 use shield_net::client::KvClient;
-use shield_net::proxy::{FaultPlan, FaultProxy};
 use shield_net::server::{CrossingMode, Server, ServerConfig};
 use shield_workload::rng::SplitMix64;
 use shieldstore::{Config, ShieldStore};

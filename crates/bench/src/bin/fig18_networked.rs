@@ -17,11 +17,12 @@
 use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::enclave::Enclave;
 use shield_baseline::{KvBackend, MemcachedLike, NaiveEnclaveStore};
-use shield_net::client::{run_load, KvClient, LoadConfig};
+use shield_net::client::KvClient;
 use shield_net::poller::raise_nofile_limit;
 use shield_net::server::{CrossingMode, Server, ServerConfig};
 use shieldstore::hist::LatencyHist;
 use shieldstore::Config;
+use shieldstore_bench::load::{run_load, LoadConfig};
 use shieldstore_bench::{harness, report, Args};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

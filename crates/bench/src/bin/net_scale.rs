@@ -17,10 +17,11 @@
 //! (`SS_NET_SCALE_ROLE=server`, port handed back over stdout) and the
 //! parent keeps its whole budget for client sockets.
 
-use shield_net::client::{run_load, KvClient, LoadConfig};
+use shield_net::client::KvClient;
 use shield_net::poller::raise_nofile_limit;
 use shield_net::server::{Server, ServerConfig};
 use shieldstore::hist::LatencyHist;
+use shieldstore_bench::load::{run_load, LoadConfig};
 use std::io::BufRead;
 use std::time::{Duration, Instant};
 

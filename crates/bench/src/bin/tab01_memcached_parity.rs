@@ -7,8 +7,8 @@
 //! loopback TCP.
 
 use shield_baseline::{KvBackend, MemcachedLike, NaiveEnclaveStore};
-use shield_net::client::{run_load, LoadConfig};
 use shield_net::server::{CrossingMode, Server, ServerConfig};
+use shieldstore_bench::load::{run_load, LoadConfig};
 use shieldstore_bench::{harness, report, Args};
 use std::sync::Arc;
 use std::time::Duration;

@@ -17,6 +17,7 @@
 
 pub mod args;
 pub mod harness;
+pub mod load;
 pub mod report;
 pub mod scale;
 pub mod setups;

@@ -55,11 +55,13 @@
 //! | [`repl`] | beyond 4.4 | sealed-log replication, fenced failover |
 //! | [`scrub`] | beyond 4.4 | background re-verification and repair |
 //! | [`store`] | — | the sharded top-level API |
+//! | [`backend`] | 3.2 | the serving trait: one `Op` in, one `Reply` out |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;
+pub mod backend;
 pub mod cache;
 pub mod config;
 pub mod entry;
@@ -81,6 +83,7 @@ pub mod testing;
 pub mod ttl;
 pub mod wal;
 
+pub use backend::{KvBackend, Op, OpError, OpResult, Reply};
 pub use config::{AllocMode, Config, DurabilityPolicy};
 pub use error::{Error, Result};
 pub use hist::{LatencyHist, OpHists};

@@ -19,7 +19,7 @@
 //! victim contend, each is clamped to its weighted share, so the victim
 //! always finds slots no matter how hard the aggressor floods. Weights
 //! come from the store's per-tenant quota configuration
-//! ([`shield_baseline::KvBackend::tenant_weight`]).
+//! ([`shieldstore::KvBackend::tenant_weight`]).
 //!
 //! "Active" means *holding slots or recently at the gate*: a tenant
 //! that was just shed (demonstrated unmet demand) or just released a

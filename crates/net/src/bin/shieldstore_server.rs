@@ -29,8 +29,8 @@
 
 use sgx_sim::counter::PersistentCounter;
 use sgx_sim::enclave::EnclaveBuilder;
-use shield_baseline::KvBackend;
 use shield_net::server::{CrossingMode, Server, ServerConfig};
+use shieldstore::KvBackend;
 use shieldstore::{Config, ShieldStore};
 use std::sync::Arc;
 

@@ -1,15 +1,14 @@
-//! The client side: a request handle and a concurrent load driver.
+//! The client side: a request handle and a self-healing wrapper.
 //!
 //! The paper's networked evaluation drives the server from a client
 //! machine simulating 256 concurrent users (§6.1). [`KvClient`] is one
-//! user's connection; [`run_load`] spawns many of them and reports
-//! aggregate throughput.
+//! user's connection; [`RetryClient`] adds reconnect-and-retry on top.
 
 use crate::protocol::{self, OpCode, Request, Response, Status};
 use crate::session::{self, SessionCrypto};
 use crate::{NetError, Result};
 use sgx_sim::attest::AttestationVerifier;
-use shield_workload::rng::SplitMix64;
+use shield_crypto::drbg::Drbg;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -445,7 +444,7 @@ impl Default for RetryPolicy {
 pub struct RetryClient {
     connector: Connector,
     policy: RetryPolicy,
-    rng: SplitMix64,
+    rng: Drbg,
     session: Option<KvClient>,
     connects: u64,
     reconnects: u64,
@@ -467,7 +466,7 @@ impl RetryClient {
     /// Creates a client; the first connection is established lazily on
     /// the first operation.
     pub fn new(connector: Connector, policy: RetryPolicy) -> Self {
-        let rng = SplitMix64::new(policy.seed ^ 0x9e37_79b9_7f4a_7c15);
+        let rng = Drbg::from_seed(&policy.seed.to_le_bytes());
         Self {
             connector,
             policy,
@@ -508,7 +507,8 @@ impl RetryClient {
         let capped = exp.min(self.policy.max_backoff);
         // Deterministic jitter in [50%, 100%] of the capped delay keeps
         // synchronized clients from retrying in lockstep.
-        let jittered = capped.mul_f64(0.5 + 0.5 * self.rng.next_f64());
+        let unit = (self.rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        let jittered = capped.mul_f64(0.5 + 0.5 * unit);
         std::thread::sleep(jittered);
     }
 
@@ -661,123 +661,6 @@ impl RetryClient {
     }
 }
 
-/// Load-driver configuration.
-#[derive(Debug, Clone)]
-pub struct LoadConfig {
-    /// Number of concurrent simulated users (paper: 256).
-    pub users: usize,
-    /// Requests each user issues.
-    pub requests_per_user: usize,
-    /// Encrypt traffic (secure sessions). Requires a verifier.
-    pub secure: bool,
-    /// Workload name (any of Table 2 / Fig. 12, see `shield-workload`).
-    pub workload: String,
-    /// Key-space size.
-    pub num_keys: u64,
-    /// Value size in bytes.
-    pub val_len: usize,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-/// Aggregate load results.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadReport {
-    /// Total successful operations.
-    pub ops: u64,
-    /// Wall-clock duration of the measurement.
-    pub wall: std::time::Duration,
-    /// Failed operations.
-    pub errors: u64,
-}
-
-impl LoadReport {
-    /// Throughput in Kop/s over wall time plus `extra_penalty`.
-    pub fn kops(&self, extra_penalty: std::time::Duration) -> f64 {
-        let secs = (self.wall + extra_penalty).as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / secs / 1e3
-        }
-    }
-}
-
-/// Runs a concurrent load against `addr` and reports throughput.
-///
-/// Each user runs its own deterministic workload stream (seeded from
-/// `config.seed` + user index) over its own connection.
-pub fn run_load(
-    addr: SocketAddr,
-    verifier: Option<&AttestationVerifier>,
-    config: &LoadConfig,
-) -> Result<LoadReport> {
-    use shield_workload::{Generator, Op, Spec};
-
-    let spec = Spec::by_name(&config.workload)
-        .ok_or_else(|| NetError::Protocol(format!("unknown workload {}", config.workload)))?;
-    assert!(!config.secure || verifier.is_some(), "secure load needs a verifier");
-
-    let start = std::time::Instant::now();
-    let mut handles = Vec::with_capacity(config.users);
-    for user in 0..config.users {
-        let verifier = verifier.cloned();
-        let config = config.clone();
-        handles.push(std::thread::spawn(move || -> Result<(u64, u64)> {
-            let mut client = if config.secure {
-                KvClient::connect_secure(
-                    addr,
-                    verifier.as_ref().expect("verifier for secure load"),
-                    config.seed + user as u64,
-                )?
-            } else {
-                KvClient::connect_insecure(addr)?
-            };
-            let mut generator =
-                Generator::new(spec, config.num_keys, config.seed ^ (user as u64) << 20);
-            let mut ops = 0u64;
-            let mut errors = 0u64;
-            for _ in 0..config.requests_per_user {
-                let op = generator.next_op();
-                let id = op.key_id();
-                let key = shield_workload::make_key(id, 16);
-                let outcome = match op {
-                    Op::Get(_) => client.get(&key).map(|_| ()),
-                    Op::Set(_) => client.set(
-                        &key,
-                        &shield_workload::make_value(id, generator.round(), config.val_len),
-                    ),
-                    Op::Append(_) => client.append(&key, b"-app"),
-                    Op::ReadModifyWrite(_) => client.get(&key).and_then(|v| {
-                        let mut v = v.unwrap_or_default();
-                        if v.is_empty() {
-                            v = shield_workload::make_value(id, 0, config.val_len);
-                        } else {
-                            let n = v.len();
-                            v[n - 1] = v[n - 1].wrapping_add(1);
-                        }
-                        client.set(&key, &v)
-                    }),
-                };
-                match outcome {
-                    Ok(()) => ops += 1,
-                    Err(_) => errors += 1,
-                }
-            }
-            Ok((ops, errors))
-        }));
-    }
-
-    let mut ops = 0u64;
-    let mut errors = 0u64;
-    for h in handles {
-        let (o, e) = h.join().map_err(|_| NetError::Protocol("load worker panicked".into()))??;
-        ops += o;
-        errors += e;
-    }
-    Ok(LoadReport { ops, wall: start.elapsed(), errors })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,53 +717,6 @@ mod tests {
             assert_eq!(r.value, format!("v{i}").into_bytes());
         }
         drop(client);
-        server.shutdown();
-    }
-
-    #[test]
-    fn load_driver_end_to_end() {
-        let enclave = EnclaveBuilder::new("load-test").epc_bytes(8 << 20).build();
-        let store = Arc::new(
-            shieldstore::ShieldStore::new(
-                Arc::clone(&enclave),
-                shieldstore::Config::shield_opt().buckets(256).mac_hashes(64),
-            )
-            .unwrap(),
-        );
-        // Preload so gets mostly hit.
-        for i in 0..500u64 {
-            store.set(&shield_workload::make_key(i, 16), b"preloaded-value!").unwrap();
-        }
-        let server = Server::start(
-            store,
-            Some(Arc::clone(&enclave)),
-            ServerConfig {
-                event_loops: 2,
-                crossing: CrossingMode::HotCalls,
-                secure: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let verifier = AttestationVerifier::for_enclave(&enclave);
-
-        let report = run_load(
-            server.addr(),
-            Some(&verifier),
-            &LoadConfig {
-                users: 4,
-                requests_per_user: 100,
-                secure: true,
-                workload: "RD50_Z".into(),
-                num_keys: 500,
-                val_len: 16,
-                seed: 11,
-            },
-        )
-        .unwrap();
-        assert_eq!(report.ops + report.errors, 400);
-        assert_eq!(report.errors, 0, "no request should fail");
-        assert!(report.kops(std::time::Duration::ZERO) > 0.0);
         server.shutdown();
     }
 }

@@ -50,7 +50,7 @@ use crate::Result;
 use parking_lot::Mutex;
 use sgx_sim::enclave::Enclave;
 use sgx_sim::vclock;
-use shield_baseline::KvBackend;
+use shieldstore::KvBackend;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -741,7 +741,17 @@ impl EventLoop {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            self.shared.state.active.fetch_sub(1, Ordering::SeqCst);
+            let state = &self.shared.state;
+            if state.active.fetch_sub(1, Ordering::SeqCst) == 1
+                && state.draining.load(Ordering::SeqCst)
+            {
+                // The server's last connection is gone: loops that own
+                // none are sleeping toward their drain deadline and may
+                // exit now.
+                for l in self.shared.loops.iter() {
+                    l.wake.wake();
+                }
+            }
         }
         self.timed.remove(&token);
     }

@@ -27,9 +27,11 @@
 //! * [`poller`] — minimal epoll/eventfd readiness abstraction (the one
 //!   `unsafe` module: raw FFI, no external crates).
 //! * [`session`] — attested handshake and per-session channel crypto.
-//! * [`server`] — the store server with ECALL/HotCalls request paths.
+//! * [`server`] — the store server with ECALL/HotCalls request paths;
+//!   every data request runs through one
+//!   [`KvBackend::execute`](shieldstore::KvBackend::execute) call.
 //! * [`admission`] — weighted fair per-tenant admission control.
-//! * [`client`] — a client handle and a concurrent load driver.
+//! * [`client`] — a client handle and a self-healing retrying wrapper.
 //! * [`repl`] — attested replicas: sealed-log streaming, read
 //!   scale-out, verifiable failover (see `DESIGN.md` § "Replication").
 
@@ -43,17 +45,15 @@ pub mod frame;
 pub mod machine;
 pub mod poller;
 pub mod protocol;
-pub mod proxy;
 pub mod repl;
 pub mod server;
 pub mod session;
 
 pub use admission::FairAdmission;
-pub use client::{Connector, KvClient, LoadConfig, LoadReport, RetryClient, RetryPolicy};
+pub use client::{Connector, KvClient, RetryClient, RetryPolicy};
 pub use frame::FrameDecoder;
 pub use machine::{CloseReason, ConnMachine, ConnPhase};
 pub use protocol::{OpCode, Request, Response, Status};
-pub use proxy::{FaultPlan, FaultProxy, FrameFault};
 pub use repl::{ReplicaBackend, ReplicaConfig, ReplicaHandle, ReplicaNode};
 pub use server::{CrossingMode, NetGauges, Server, ServerConfig};
 

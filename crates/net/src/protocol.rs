@@ -27,10 +27,89 @@
 //! sealed form produced by [`crate::session::SessionCrypto`].
 
 use crate::{NetError, Result};
+use shieldstore::{Op, OpError, Reply};
 use std::io::{Read, Write};
 
 /// Maximum accepted frame body (defensive bound).
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Bounds-checked little-endian reader over one payload. Every read
+/// returns `Err` once the bytes run out, so no decoder in this module
+/// indexes past its input.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    /// The payload's name, for error messages.
+    what: &'static str,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(bytes: &'a [u8], what: &'static str) -> Self {
+        Self { bytes, what }
+    }
+
+    fn bytes(&mut self, len: usize) -> Result<&'a [u8]> {
+        if self.bytes.len() < len {
+            return Err(NetError::Protocol(format!("truncated {} payload", self.what)));
+        }
+        let (head, rest) = self.bytes.split_at(len);
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
+    }
+
+    fn u8(&mut self) -> Result<u8> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A `u32` length prefix followed by that many bytes.
+    fn chunk(&mut self) -> Result<&'a [u8]> {
+        let len = self.u32()? as usize;
+        self.bytes(len)
+    }
+
+    /// Everything not read yet.
+    fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.bytes)
+    }
+
+    /// Reads a batch's `u32` count and sanity-checks it against the
+    /// bytes that remain: each entry carries at least `min_entry_bytes`
+    /// of header, so a larger count cannot be satisfied and is rejected
+    /// before any allocation sized from it.
+    fn count(&mut self, min_entry_bytes: usize) -> Result<usize> {
+        let count = self.u32()? as usize;
+        if count > self.bytes.len() / min_entry_bytes {
+            return Err(NetError::Protocol(format!("{} count exceeds payload", self.what)));
+        }
+        Ok(count)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Fails unless every byte was consumed.
+    fn finish(&self) -> Result<()> {
+        if self.is_empty() {
+            Ok(())
+        } else {
+            Err(NetError::Protocol(format!("trailing bytes after {} payload", self.what)))
+        }
+    }
+}
 
 /// Operation codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,19 +268,52 @@ impl Request {
 
     /// Parses a request body.
     pub fn decode(bytes: &[u8]) -> Result<Request> {
-        if bytes.len() < 9 {
-            return Err(NetError::Protocol("short request".into()));
-        }
-        let op = OpCode::from_u8(bytes[0])?;
-        let key_len = u32::from_le_bytes(bytes[1..5].try_into().expect("4 bytes")) as usize;
-        let val_len = u32::from_le_bytes(bytes[5..9].try_into().expect("4 bytes")) as usize;
-        if bytes.len() != 9 + key_len + val_len {
-            return Err(NetError::Protocol("request length mismatch".into()));
-        }
-        Ok(Request {
-            op,
-            key: bytes[9..9 + key_len].to_vec(),
-            value: bytes[9 + key_len..].to_vec(),
+        let mut cur = Cursor::new(bytes, "request");
+        let op = OpCode::from_u8(cur.u8()?)?;
+        let key_len = cur.u32()? as usize;
+        let val_len = cur.u32()? as usize;
+        let key = cur.bytes(key_len)?.to_vec();
+        let value = cur.bytes(val_len)?.to_vec();
+        cur.finish()?;
+        Ok(Request { op, key, value })
+    }
+
+    /// The data operation this request carries, borrowing its key and
+    /// value. Decodes the opcode-specific payloads (TTL, delta, batch,
+    /// scan limit); a malformed payload, or a control opcode (`Ping`,
+    /// `Stats`, `Flush`, replication, `Promote`), is an `Err`.
+    pub fn as_op(&self) -> Result<Op<'_>> {
+        let key = &self.key[..];
+        let value = &self.value[..];
+        Ok(match self.op {
+            OpCode::Get => Op::Get { key },
+            OpCode::Set => Op::Set { key, value, ttl_ns: 0 },
+            OpCode::SetTtl => {
+                let (ttl_ns, value) = decode_set_ttl(value)?;
+                Op::Set { key, value, ttl_ns }
+            }
+            OpCode::Delete => Op::Delete { key },
+            OpCode::Append => Op::Append { key, suffix: value },
+            OpCode::Increment => {
+                let mut cur = Cursor::new(value, "increment");
+                let delta = i64::from_le_bytes(cur.array()?);
+                cur.finish()?;
+                Op::Increment { key, delta }
+            }
+            OpCode::MultiGet => Op::MultiGet { keys: multi_get_keys(value)? },
+            OpCode::MultiSet => Op::MultiSet { items: multi_set_items(value)? },
+            OpCode::ScanPrefix => {
+                Op::ScanPrefix { prefix: key, limit: decode_scan_limit(value)? as usize }
+            }
+            OpCode::Ping
+            | OpCode::Stats
+            | OpCode::Flush
+            | OpCode::ReplSubscribe
+            | OpCode::ReplSegment
+            | OpCode::ReplAck
+            | OpCode::Promote => {
+                return Err(NetError::Protocol(format!("{:?} is not a data operation", self.op)))
+            }
         })
     }
 }
@@ -273,15 +385,38 @@ impl Response {
 
     /// Parses a response body.
     pub fn decode(bytes: &[u8]) -> Result<Response> {
-        if bytes.len() < 5 {
-            return Err(NetError::Protocol("short response".into()));
+        let mut cur = Cursor::new(bytes, "response");
+        let status = Status::from_u8(cur.u8()?)?;
+        let value = cur.chunk()?.to_vec();
+        cur.finish()?;
+        Ok(Response { status, value })
+    }
+}
+
+impl From<Reply> for Response {
+    /// The wire answer to an executed data operation.
+    fn from(reply: Reply) -> Self {
+        match reply {
+            Reply::Done => Response::ok_empty(),
+            Reply::NotFound => Response::not_found(),
+            Reply::Value(v) => Response::ok(v),
+            Reply::Counter(n) => Response::ok(n.to_le_bytes().to_vec()),
+            Reply::Values(results) => Response::ok(encode_multi_get_response(&results)),
+            Reply::Entries(entries) => Response::ok(encode_scan(&entries)),
         }
-        let status = Status::from_u8(bytes[0])?;
-        let val_len = u32::from_le_bytes(bytes[1..5].try_into().expect("4 bytes")) as usize;
-        if bytes.len() != 5 + val_len {
-            return Err(NetError::Protocol("response length mismatch".into()));
+    }
+}
+
+impl From<OpError> for Response {
+    /// The wire status of a failed store operation.
+    fn from(e: OpError) -> Self {
+        match e {
+            OpError::Quarantined => Response::quarantined(),
+            OpError::QuotaExceeded => Response::quota_exceeded(),
+            OpError::ReadOnly => Response::read_only(),
+            OpError::StorageFailed => Response::storage_failed(),
+            OpError::Failed => Response::error(),
         }
-        Ok(Response { status, value: bytes[5..].to_vec() })
     }
 }
 
@@ -298,25 +433,21 @@ pub fn encode_scan(entries: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
 }
 
 /// Decodes a scan payload produced by [`encode_scan`].
-pub fn decode_scan(mut bytes: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+pub fn decode_scan(bytes: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    let mut cur = Cursor::new(bytes, "scan");
     let mut out = Vec::new();
-    while !bytes.is_empty() {
-        if bytes.len() < 8 {
-            return Err(NetError::Protocol("truncated scan entry header".into()));
-        }
-        let klen = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-        let vlen = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-        let need = 8usize
-            .checked_add(klen)
-            .and_then(|n| n.checked_add(vlen))
-            .ok_or_else(|| NetError::Protocol("scan entry length overflow".into()))?;
-        if bytes.len() < need {
-            return Err(NetError::Protocol("truncated scan entry body".into()));
-        }
-        out.push((bytes[8..8 + klen].to_vec(), bytes[8 + klen..need].to_vec()));
-        bytes = &bytes[need..];
+    while !cur.is_empty() {
+        let (key, value) = key_value(&mut cur)?;
+        out.push((key.to_vec(), value.to_vec()));
     }
     Ok(out)
+}
+
+/// Reads one `[klen u32 | vlen u32 | key | value]` entry.
+fn key_value<'a>(cur: &mut Cursor<'a>) -> Result<(&'a [u8], &'a [u8])> {
+    let klen = cur.u32()? as usize;
+    let vlen = cur.u32()? as usize;
+    Ok((cur.bytes(klen)?, cur.bytes(vlen)?))
 }
 
 /// Version tag of the [`encode_scan_limit`] layout.
@@ -338,16 +469,14 @@ pub fn encode_scan_limit(limit: u32) -> Vec<u8> {
 /// Decodes a payload produced by [`encode_scan_limit`], rejecting any
 /// other length (including the legacy bare 4-byte limit) or version.
 pub fn decode_scan_limit(bytes: &[u8]) -> Result<u32> {
-    if bytes.len() != 5 {
-        return Err(NetError::Protocol(format!(
-            "scan limit payload must be 5 bytes, got {}",
-            bytes.len()
-        )));
+    let mut cur = Cursor::new(bytes, "scan limit");
+    let version = cur.u8()?;
+    let limit = cur.u32()?;
+    cur.finish()?;
+    if version != SCAN_LIMIT_VERSION {
+        return Err(NetError::Protocol(format!("unknown scan limit version {version}")));
     }
-    if bytes[0] != SCAN_LIMIT_VERSION {
-        return Err(NetError::Protocol(format!("unknown scan limit version {}", bytes[0])));
-    }
-    Ok(u32::from_le_bytes(bytes[1..5].try_into().expect("4 bytes")))
+    Ok(limit)
 }
 
 /// Encodes a `SetTtl` request value: `[ttl_ns u64 LE | value]`. The
@@ -364,14 +493,12 @@ pub fn encode_set_ttl(ttl_ns: u64, value: &[u8]) -> Vec<u8> {
 /// Decodes a payload produced by [`encode_set_ttl`], rejecting short
 /// payloads and a zero TTL.
 pub fn decode_set_ttl(bytes: &[u8]) -> Result<(u64, &[u8])> {
-    if bytes.len() < 8 {
-        return Err(NetError::Protocol("short set-ttl payload".into()));
-    }
-    let ttl = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+    let mut cur = Cursor::new(bytes, "set-ttl");
+    let ttl = cur.u64()?;
     if ttl == 0 {
         return Err(NetError::Protocol("set-ttl with zero TTL".into()));
     }
-    Ok((ttl, &bytes[8..]))
+    Ok((ttl, cur.rest()))
 }
 
 /// Encodes a `(generation, seq)` watermark: `[gen u64 | seq u64]`.
@@ -387,16 +514,10 @@ pub fn encode_watermark(generation: u64, seq: u64) -> Vec<u8> {
 /// Decodes a payload produced by [`encode_watermark`]; rejects any
 /// other length.
 pub fn decode_watermark(bytes: &[u8]) -> Result<(u64, u64)> {
-    if bytes.len() != 16 {
-        return Err(NetError::Protocol(format!(
-            "watermark payload must be 16 bytes, got {}",
-            bytes.len()
-        )));
-    }
-    Ok((
-        u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")),
-        u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-    ))
+    let mut cur = Cursor::new(bytes, "watermark");
+    let out = (cur.u64()?, cur.u64()?);
+    cur.finish()?;
+    Ok(out)
 }
 
 /// Encodes a `ReplSegment` request value: the subscriber's stream
@@ -412,17 +533,10 @@ pub fn encode_repl_poll(generation: u64, after_seq: u64, max_bytes: u32) -> Vec<
 
 /// Decodes a payload produced by [`encode_repl_poll`].
 pub fn decode_repl_poll(bytes: &[u8]) -> Result<(u64, u64, u32)> {
-    if bytes.len() != 20 {
-        return Err(NetError::Protocol(format!(
-            "repl poll payload must be 20 bytes, got {}",
-            bytes.len()
-        )));
-    }
-    Ok((
-        u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")),
-        u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-        u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")),
-    ))
+    let mut cur = Cursor::new(bytes, "repl poll");
+    let out = (cur.u64()?, cur.u64()?, cur.u32()?);
+    cur.finish()?;
+    Ok(out)
 }
 
 /// Encodes a `ReplAck` request value: `[subscriber u64 | generation
@@ -437,34 +551,10 @@ pub fn encode_repl_ack(subscriber: u64, generation: u64, seq: u64) -> Vec<u8> {
 
 /// Decodes a payload produced by [`encode_repl_ack`].
 pub fn decode_repl_ack(bytes: &[u8]) -> Result<(u64, u64, u64)> {
-    if bytes.len() != 24 {
-        return Err(NetError::Protocol(format!(
-            "repl ack payload must be 24 bytes, got {}",
-            bytes.len()
-        )));
-    }
-    Ok((
-        u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")),
-        u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-        u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")),
-    ))
-}
-
-/// Reads the `u32` LE count prefix shared by all batch payloads and
-/// sanity-checks it against the bytes that remain: each entry carries at
-/// least `min_entry_bytes` of header, so a count larger than
-/// `remaining / min_entry_bytes` cannot be satisfied and is rejected
-/// before any allocation sized from it.
-fn read_batch_count(bytes: &[u8], min_entry_bytes: usize) -> Result<(usize, &[u8])> {
-    if bytes.len() < 4 {
-        return Err(NetError::Protocol("truncated batch count".into()));
-    }
-    let count = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-    let rest = &bytes[4..];
-    if count > rest.len() / min_entry_bytes.max(1) {
-        return Err(NetError::Protocol("batch count exceeds payload".into()));
-    }
-    Ok((count, rest))
+    let mut cur = Cursor::new(bytes, "repl ack");
+    let out = (cur.u64()?, cur.u64()?, cur.u64()?);
+    cur.finish()?;
+    Ok(out)
 }
 
 /// Encodes a `MultiGet` request value: `[count u32] ([klen u32 | key])*`.
@@ -478,25 +568,19 @@ pub fn encode_multi_get(keys: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
+/// Decodes a payload produced by [`encode_multi_get`], borrowing the
+/// keys from `bytes`.
+fn multi_get_keys(bytes: &[u8]) -> Result<Vec<&[u8]>> {
+    let mut cur = Cursor::new(bytes, "multi-get");
+    let count = cur.count(4)?;
+    let keys = (0..count).map(|_| cur.chunk()).collect::<Result<Vec<_>>>()?;
+    cur.finish()?;
+    Ok(keys)
+}
+
 /// Decodes a payload produced by [`encode_multi_get`].
 pub fn decode_multi_get(bytes: &[u8]) -> Result<Vec<Vec<u8>>> {
-    let (count, mut rest) = read_batch_count(bytes, 4)?;
-    let mut keys = Vec::with_capacity(count);
-    for _ in 0..count {
-        if rest.len() < 4 {
-            return Err(NetError::Protocol("truncated multi-get key header".into()));
-        }
-        let klen = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        if rest.len() < 4 + klen {
-            return Err(NetError::Protocol("truncated multi-get key".into()));
-        }
-        keys.push(rest[4..4 + klen].to_vec());
-        rest = &rest[4 + klen..];
-    }
-    if !rest.is_empty() {
-        return Err(NetError::Protocol("trailing bytes after multi-get batch".into()));
-    }
-    Ok(keys)
+    Ok(multi_get_keys(bytes)?.into_iter().map(<[u8]>::to_vec).collect())
 }
 
 /// Encodes a `MultiGet` response value:
@@ -526,21 +610,16 @@ pub fn encode_multi_get_response(results: &[Option<Vec<u8>>]) -> Vec<u8> {
 
 /// Decodes a payload produced by [`encode_multi_get_response`].
 pub fn decode_multi_get_response(bytes: &[u8]) -> Result<Vec<Option<Vec<u8>>>> {
-    let (count, mut rest) = read_batch_count(bytes, 5)?;
+    let mut cur = Cursor::new(bytes, "multi-get response");
+    let count = cur.count(5)?;
     let mut results = Vec::with_capacity(count);
     for _ in 0..count {
-        if rest.len() < 5 {
-            return Err(NetError::Protocol("truncated multi-get result header".into()));
-        }
-        let status = Status::from_u8(rest[0])?;
-        let vlen = u32::from_le_bytes(rest[1..5].try_into().expect("4 bytes")) as usize;
-        if rest.len() < 5 + vlen {
-            return Err(NetError::Protocol("truncated multi-get result value".into()));
-        }
+        let status = Status::from_u8(cur.u8()?)?;
+        let value = cur.chunk()?;
         match status {
-            Status::Ok => results.push(Some(rest[5..5 + vlen].to_vec())),
+            Status::Ok => results.push(Some(value.to_vec())),
             Status::NotFound => {
-                if vlen != 0 {
+                if !value.is_empty() {
                     return Err(NetError::Protocol("multi-get miss carries a value".into()));
                 }
                 results.push(None);
@@ -556,11 +635,8 @@ pub fn decode_multi_get_response(bytes: &[u8]) -> Result<Vec<Option<Vec<u8>>>> {
                 )));
             }
         }
-        rest = &rest[5 + vlen..];
     }
-    if !rest.is_empty() {
-        return Err(NetError::Protocol("trailing bytes after multi-get results".into()));
-    }
+    cur.finish()?;
     Ok(results)
 }
 
@@ -579,30 +655,20 @@ pub fn encode_multi_set(items: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
     out
 }
 
+/// Decodes a payload produced by [`encode_multi_set`], borrowing the
+/// items from `bytes`.
+fn multi_set_items(bytes: &[u8]) -> Result<Vec<(&[u8], &[u8])>> {
+    let mut cur = Cursor::new(bytes, "multi-set");
+    let count = cur.count(8)?;
+    let items = (0..count).map(|_| key_value(&mut cur)).collect::<Result<Vec<_>>>()?;
+    cur.finish()?;
+    Ok(items)
+}
+
 /// Decodes a payload produced by [`encode_multi_set`].
 pub fn decode_multi_set(bytes: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-    let (count, mut rest) = read_batch_count(bytes, 8)?;
-    let mut items = Vec::with_capacity(count);
-    for _ in 0..count {
-        if rest.len() < 8 {
-            return Err(NetError::Protocol("truncated multi-set item header".into()));
-        }
-        let klen = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        let vlen = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
-        let need = 8usize
-            .checked_add(klen)
-            .and_then(|n| n.checked_add(vlen))
-            .ok_or_else(|| NetError::Protocol("multi-set item length overflow".into()))?;
-        if rest.len() < need {
-            return Err(NetError::Protocol("truncated multi-set item body".into()));
-        }
-        items.push((rest[8..8 + klen].to_vec(), rest[8 + klen..need].to_vec()));
-        rest = &rest[need..];
-    }
-    if !rest.is_empty() {
-        return Err(NetError::Protocol("trailing bytes after multi-set batch".into()));
-    }
-    Ok(items)
+    let items = multi_set_items(bytes)?;
+    Ok(items.into_iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect())
 }
 
 /// Version tag of the [`encode_stats`] layout. Bumped whenever the field
@@ -752,31 +818,16 @@ pub fn encode_stats(snap: &shieldstore::StatsSnapshot) -> Vec<u8> {
     out
 }
 
-/// Cursor over the fixed-width u64 stream of a stats payload.
-struct StatsReader<'a> {
-    bytes: &'a [u8],
-}
-
-impl StatsReader<'_> {
-    fn u64(&mut self) -> Result<u64> {
-        if self.bytes.len() < 8 {
-            return Err(NetError::Protocol("truncated stats payload".into()));
-        }
-        let v = u64::from_le_bytes(self.bytes[..8].try_into().expect("8 bytes"));
-        self.bytes = &self.bytes[8..];
-        Ok(v)
+/// Reads one histogram of a stats payload: its buckets, sum and max.
+fn read_hist(r: &mut Cursor<'_>) -> Result<shieldstore::LatencyHist> {
+    let mut buckets = [0u64; shieldstore::hist::NUM_BUCKETS];
+    for b in buckets.iter_mut() {
+        *b = r.u64()?;
     }
-
-    fn hist(&mut self) -> Result<shieldstore::LatencyHist> {
-        let mut buckets = [0u64; shieldstore::hist::NUM_BUCKETS];
-        for b in buckets.iter_mut() {
-            *b = self.u64()?;
-        }
-        let sum = self.u64()?;
-        let max = self.u64()?;
-        shieldstore::LatencyHist::from_raw(buckets, sum, max)
-            .ok_or_else(|| NetError::Protocol("inconsistent stats histogram".into()))
-    }
+    let sum = r.u64()?;
+    let max = r.u64()?;
+    shieldstore::LatencyHist::from_raw(buckets, sum, max)
+        .ok_or_else(|| NetError::Protocol("inconsistent stats histogram".into()))
 }
 
 /// Decodes a payload produced by [`encode_stats`], failing closed on
@@ -784,29 +835,27 @@ impl StatsReader<'_> {
 /// internally inconsistent histograms.
 pub fn decode_stats(bytes: &[u8]) -> Result<shieldstore::StatsSnapshot> {
     use shieldstore::OpStats;
-    if bytes.len() < 2 {
-        return Err(NetError::Protocol("short stats payload".into()));
+    let mut r = Cursor::new(bytes, "stats");
+    let version = r.u8()?;
+    if version != STATS_WIRE_VERSION {
+        return Err(NetError::Protocol(format!("unknown stats version {version}")));
     }
-    if bytes[0] != STATS_WIRE_VERSION {
-        return Err(NetError::Protocol(format!("unknown stats version {}", bytes[0])));
-    }
-    if bytes[1] as usize != OpStats::FIELDS.len() {
+    let fields = r.u8()?;
+    if fields as usize != OpStats::FIELDS.len() {
         return Err(NetError::Protocol(format!(
-            "stats field count {} does not match this build's {}",
-            bytes[1],
+            "stats field count {fields} does not match this build's {}",
             OpStats::FIELDS.len()
         )));
     }
     let mut snap = shieldstore::StatsSnapshot::default();
-    let mut r = StatsReader { bytes: &bytes[2..] };
     for f in OpStats::FIELDS {
         *(f.get_mut)(&mut snap.ops) = r.u64()?;
     }
-    snap.hists.get = r.hist()?;
-    snap.hists.set = r.hist()?;
-    snap.hists.delete = r.hist()?;
-    snap.hists.batch = r.hist()?;
-    snap.hists.wal_group = r.hist()?;
+    snap.hists.get = read_hist(&mut r)?;
+    snap.hists.set = read_hist(&mut r)?;
+    snap.hists.delete = read_hist(&mut r)?;
+    snap.hists.batch = read_hist(&mut r)?;
+    snap.hists.wal_group = read_hist(&mut r)?;
     snap.entries = r.u64()?;
     snap.shards = r.u64()?;
     snap.heap_live_bytes = r.u64()?;
@@ -861,18 +910,15 @@ pub fn decode_stats(bytes: &[u8]) -> Result<shieldstore::StatsSnapshot> {
         row.expired_swept = r.u64()?;
         row.shed = r.u64()?;
     }
-    if r.bytes.first() != Some(&(SIM_FIELDS as u8)) {
+    if r.u8()? as usize != SIM_FIELDS {
         return Err(NetError::Protocol("stats sim field count mismatch".into()));
     }
-    r.bytes = &r.bytes[1..];
     let mut sim = [0u64; SIM_FIELDS];
     for v in sim.iter_mut() {
         *v = r.u64()?;
     }
     snap.sim = sim_from_array(sim);
-    if !r.bytes.is_empty() {
-        return Err(NetError::Protocol("trailing bytes after stats payload".into()));
-    }
+    r.finish()?;
     Ok(snap)
 }
 

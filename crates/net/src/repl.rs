@@ -32,8 +32,7 @@ use crate::server::{Server, ServerConfig};
 use crate::{NetError, Result};
 use sgx_sim::attest::AttestationVerifier;
 use sgx_sim::enclave::Enclave;
-use shield_baseline::{KvBackend, OpError, OpResult};
-use shieldstore::{Replica, ShieldStore, Watermark};
+use shieldstore::{KvBackend, Op, OpError, OpResult, Replica, Reply, ShieldStore, Watermark};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -246,46 +245,12 @@ impl KvBackend for ReplicaBackend {
         }
     }
 
-    fn try_get_t(&self, tenant: u32, key: &[u8]) -> OpResult<Option<Vec<u8>>> {
-        self.store.try_get_t(tenant, key)
-    }
-
-    fn try_set_t(&self, tenant: u32, key: &[u8], value: &[u8], ttl_ns: u64) -> OpResult<()> {
-        self.writable()?;
-        self.store.try_set_t(tenant, key, value, ttl_ns)
-    }
-
-    fn try_delete_t(&self, tenant: u32, key: &[u8]) -> OpResult<bool> {
-        self.writable()?;
-        self.store.try_delete_t(tenant, key)
-    }
-
-    fn try_append_t(&self, tenant: u32, key: &[u8], suffix: &[u8]) -> OpResult<()> {
-        self.writable()?;
-        self.store.try_append_t(tenant, key, suffix)
-    }
-
-    fn try_increment_t(&self, tenant: u32, key: &[u8], delta: i64) -> OpResult<i64> {
-        self.writable()?;
-        self.store.try_increment_t(tenant, key, delta)
-    }
-
-    fn try_multi_get_t(&self, tenant: u32, keys: &[Vec<u8>]) -> OpResult<Vec<Option<Vec<u8>>>> {
-        self.store.try_multi_get_t(tenant, keys)
-    }
-
-    fn try_multi_set_t(&self, tenant: u32, items: &[(Vec<u8>, Vec<u8>)]) -> OpResult<()> {
-        self.writable()?;
-        self.store.try_multi_set_t(tenant, items)
-    }
-
-    fn try_scan_prefix_t(
-        &self,
-        tenant: u32,
-        prefix: &[u8],
-        limit: usize,
-    ) -> OpResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.store.try_scan_prefix_t(tenant, prefix, limit)
+    fn execute(&self, tenant: u32, op: Op<'_>) -> OpResult<Reply> {
+        // One gate for every mutation, so no write op can slip past it.
+        if op.is_write() {
+            self.writable()?;
+        }
+        self.store.execute(tenant, op)
     }
 
     fn tenant_weight(&self, tenant: u32) -> u32 {

@@ -39,7 +39,7 @@ use crate::admission::FairAdmission;
 use crate::protocol::{OpCode, Request, Response};
 use crate::{engine, Result};
 use sgx_sim::enclave::Enclave;
-use shield_baseline::{KvBackend, OpError};
+use shieldstore::KvBackend;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -304,20 +304,13 @@ pub fn execute(store: &dyn KvBackend, request: &Request) -> Response {
     execute_with(store, request, 0, None)
 }
 
-/// Maps a `try_*` failure to its wire status.
-fn fail_status(e: OpError) -> Response {
-    match e {
-        OpError::Quarantined => Response::quarantined(),
-        OpError::QuotaExceeded => Response::quota_exceeded(),
-        OpError::ReadOnly => Response::read_only(),
-        OpError::StorageFailed => Response::storage_failed(),
-        OpError::Failed => Response::error(),
-    }
-}
-
 /// Executes one request against the store under `tenant`'s namespace,
 /// overlaying server-side overload counters onto `Stats` responses when
 /// the serving state is provided.
+///
+/// Every data opcode takes one path: decode to an [`shieldstore::Op`],
+/// one [`KvBackend::execute`] call, and the reply or failure mapped to
+/// its wire status. A malformed payload answers `Error` unexecuted.
 pub(crate) fn execute_with(
     store: &dyn KvBackend,
     request: &Request,
@@ -325,80 +318,7 @@ pub(crate) fn execute_with(
     net: Option<&NetState>,
 ) -> Response {
     match request.op {
-        OpCode::Get => match store.try_get_t(tenant, &request.key) {
-            Ok(Some(v)) => Response::ok(v),
-            Ok(None) => Response::not_found(),
-            Err(e) => fail_status(e),
-        },
-        OpCode::Set => match store.try_set_t(tenant, &request.key, &request.value, 0) {
-            Ok(()) => Response::ok_empty(),
-            Err(e) => fail_status(e),
-        },
-        OpCode::SetTtl => {
-            let Ok((ttl_ns, value)) = crate::protocol::decode_set_ttl(&request.value) else {
-                return Response::error();
-            };
-            match store.try_set_t(tenant, &request.key, value, ttl_ns) {
-                Ok(()) => Response::ok_empty(),
-                Err(e) => fail_status(e),
-            }
-        }
-        OpCode::Delete => match store.try_delete_t(tenant, &request.key) {
-            Ok(true) => Response::ok_empty(),
-            Ok(false) => Response::not_found(),
-            Err(e) => fail_status(e),
-        },
-        OpCode::Append => match store.try_append_t(tenant, &request.key, &request.value) {
-            Ok(()) => Response::ok_empty(),
-            Err(e) => fail_status(e),
-        },
-        OpCode::Increment => {
-            let delta = if request.value.len() == 8 {
-                i64::from_le_bytes(request.value[..].try_into().expect("8 bytes"))
-            } else {
-                return Response::error();
-            };
-            match store.try_increment_t(tenant, &request.key, delta) {
-                Ok(next) => Response::ok(next.to_le_bytes().to_vec()),
-                Err(e) => fail_status(e),
-            }
-        }
         OpCode::Ping => Response::ok_empty(),
-        OpCode::MultiGet => {
-            let Ok(keys) = crate::protocol::decode_multi_get(&request.value) else {
-                return Response::error();
-            };
-            // The whole batch runs as one work item: one crossing charge
-            // and one shard-lock acquisition per touched shard, however
-            // many keys ride in the frame.
-            match store.try_multi_get_t(tenant, &keys) {
-                Ok(results) => Response::ok(crate::protocol::encode_multi_get_response(&results)),
-                // Batch-level failure (integrity violation, quarantined
-                // partition): fail the whole frame closed rather than
-                // fabricate misses.
-                Err(e) => fail_status(e),
-            }
-        }
-        OpCode::MultiSet => {
-            let Ok(items) = crate::protocol::decode_multi_set(&request.value) else {
-                return Response::error();
-            };
-            match store.try_multi_set_t(tenant, &items) {
-                Ok(()) => Response::ok_empty(),
-                Err(e) => fail_status(e),
-            }
-        }
-        OpCode::ScanPrefix => {
-            // The limit rides in a versioned payload; the legacy bare
-            // 4-byte form is rejected by the decoder.
-            let Ok(limit) = crate::protocol::decode_scan_limit(&request.value) else {
-                return Response::error();
-            };
-            match store.try_scan_prefix_t(tenant, &request.key, limit as usize) {
-                Ok(entries) => Response::ok(crate::protocol::encode_scan(&entries)),
-                Err(e) => fail_status(e),
-            }
-        }
         OpCode::Stats => {
             if !request.key.is_empty() || !request.value.is_empty() {
                 return Response::error();
@@ -434,7 +354,7 @@ pub(crate) fn execute_with(
             match store.flush_durable() {
                 Ok(Some((gen, seq))) => Response::ok(crate::protocol::encode_watermark(gen, seq)),
                 Ok(None) => Response::ok_empty(),
-                Err(e) => fail_status(e),
+                Err(e) => e.into(),
             }
         }
         OpCode::ReplSubscribe => {
@@ -443,7 +363,7 @@ pub(crate) fn execute_with(
             }
             match store.repl_subscribe() {
                 Ok(hello) => Response::ok(hello),
-                Err(e) => fail_status(e),
+                Err(e) => e.into(),
             }
         }
         OpCode::ReplSegment => {
@@ -453,7 +373,7 @@ pub(crate) fn execute_with(
             };
             match store.repl_batch(gen, after_seq, max_bytes) {
                 Ok(batch) => Response::ok(batch),
-                Err(e) => fail_status(e),
+                Err(e) => e.into(),
             }
         }
         OpCode::ReplAck => {
@@ -463,7 +383,7 @@ pub(crate) fn execute_with(
             };
             match store.repl_ack(subscriber, gen, seq) {
                 Ok(()) => Response::ok_empty(),
-                Err(e) => fail_status(e),
+                Err(e) => e.into(),
             }
         }
         OpCode::Promote => {
@@ -472,9 +392,13 @@ pub(crate) fn execute_with(
             }
             match store.promote() {
                 Ok((gen, seq)) => Response::ok(crate::protocol::encode_watermark(gen, seq)),
-                Err(e) => fail_status(e),
+                Err(e) => e.into(),
             }
         }
+        _ => match request.as_op() {
+            Ok(op) => store.execute(tenant, op).map_or_else(Response::from, Response::from),
+            Err(_) => Response::error(),
+        },
     }
 }
 
@@ -559,7 +483,7 @@ mod tests {
         // Policy None: nothing commits until an explicit flush.
         store.attach_wal(&dir).unwrap();
         let server = Server::start(
-            Arc::clone(&store) as Arc<dyn shield_baseline::KvBackend>,
+            Arc::clone(&store) as Arc<dyn KvBackend>,
             Some(Arc::clone(&enclave)),
             ServerConfig {
                 event_loops: 2,

@@ -31,7 +31,7 @@ fn multi_loop_server(
         store_cfg = store_cfg.with_quarantine();
     }
     let store = Arc::new(shieldstore::ShieldStore::new(Arc::clone(&enclave), store_cfg).unwrap());
-    let backend: Arc<dyn shield_baseline::KvBackend> = Arc::clone(&store) as _;
+    let backend: Arc<dyn shieldstore::KvBackend> = Arc::clone(&store) as _;
     let server = Server::start(backend, Some(Arc::clone(&enclave)), cfg).unwrap();
     (enclave, store, server)
 }

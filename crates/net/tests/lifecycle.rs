@@ -356,3 +356,48 @@ fn timed_out_partial_frame_stays_dead() {
     ];
     run_script(&script).unwrap();
 }
+
+/// Shutdown of a live server must not wait out the drain deadline on a
+/// loop that owns no connection: once the last connection anywhere
+/// closes, every loop learns of it and exits. Here the one client holds
+/// half a frame (so the drain cannot close it at once) and hangs up
+/// shortly after the drain began.
+#[test]
+fn shutdown_returns_when_the_last_connection_closes() {
+    use shield_net::{Server, ServerConfig};
+    use shieldstore::{Config, ShieldStore};
+    use std::io::Write;
+    use std::sync::Arc;
+
+    let enclave = sgx_sim::enclave::EnclaveBuilder::new("drain-wake").epc_bytes(4 << 20).build();
+    let store = ShieldStore::new(enclave, Config::shield_opt().buckets(64).mac_hashes(16)).unwrap();
+    let server = Server::start(
+        Arc::new(store),
+        None,
+        ServerConfig {
+            event_loops: 2,
+            secure: false,
+            frame_timeout: Duration::from_secs(60),
+            drain_deadline: Duration::from_secs(5),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut client = std::net::TcpStream::connect(server.addr()).unwrap();
+    client.write_all(&[0x04, 0x00]).unwrap();
+    let accepted_by = Instant::now() + Duration::from_secs(5);
+    while server.active_connections() == 0 {
+        assert!(Instant::now() < accepted_by, "server never accepted the client");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let hang_up = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(200));
+        drop(client);
+    });
+    let started = Instant::now();
+    server.shutdown();
+    let elapsed = started.elapsed();
+    hang_up.join().unwrap();
+    assert!(elapsed < Duration::from_secs(1), "shutdown took {elapsed:?} after the last close");
+}

@@ -23,6 +23,8 @@ fn store_config() -> Config {
         .mac_hashes(32)
         .with_shards(2)
         .with_durability(DurabilityPolicy::Strict)
+        // So the replica's read gate covers scans too.
+        .with_ordered_index()
 }
 
 fn server_config() -> ServerConfig {
@@ -62,7 +64,7 @@ fn failover_preserves_every_acked_write_and_fences_the_old_primary() {
     let primary = Arc::new(ShieldStore::new(Arc::clone(&primary_enclave), store_config()).unwrap());
     primary.attach_wal(&primary_wal).unwrap();
     let primary_server = Server::start(
-        Arc::clone(&primary) as Arc<dyn shield_baseline::KvBackend>,
+        Arc::clone(&primary) as Arc<dyn shieldstore::KvBackend>,
         Some(Arc::clone(&primary_enclave)),
         server_config(),
     )
@@ -101,13 +103,37 @@ fn failover_preserves_every_acked_write_and_fences_the_old_primary() {
     // The replica streams to the acked watermark before the primary dies.
     wait_caught_up(&handle, acked);
 
-    // Pre-promotion: reads serve, writes answer ReadOnly.
+    // Pre-promotion: every write op answers ReadOnly and leaves the
+    // replica untouched; every read op serves.
     let mut rc = KvClient::connect_secure(node.addr(), &verifier, 101).unwrap();
-    assert_eq!(rc.get(b"k000").unwrap().unwrap(), b"v0");
-    match rc.set(b"nope", b"x") {
-        Err(NetError::ReadOnly) => {}
-        other => panic!("replica write must answer ReadOnly, got {other:?}"),
+    type Write = fn(&mut KvClient) -> shield_net::Result<()>;
+    let writes: [(&str, Write); 6] = [
+        ("set", |c| c.set(b"k000", b"x")),
+        ("set-ttl", |c| c.set_ttl(b"k001", b"x", 1 << 40)),
+        ("delete", |c| c.delete(b"k002").map(drop)),
+        ("append", |c| c.append(b"k003", b"x")),
+        ("increment", |c| c.increment(b"counter", 1).map(drop)),
+        ("multi-set", |c| {
+            c.multi_set(&[(b"k004".to_vec(), b"x".to_vec()), (b"new".to_vec(), b"x".to_vec())])
+        }),
+    ];
+    for (name, write) in writes {
+        match write(&mut rc) {
+            Err(NetError::ReadOnly) => {}
+            other => panic!("replica {name} must answer ReadOnly, got {other:?}"),
+        }
     }
+    assert_eq!(replica_store.len(), 200, "a refused write changed the replica");
+    for i in 0..5u32 {
+        let got = replica_store.get(format!("k{i:03}").as_bytes()).unwrap();
+        assert_eq!(got, format!("v{i}").into_bytes(), "k{i:03} changed on the replica");
+    }
+    assert_eq!(rc.get(b"k000").unwrap().unwrap(), b"v0");
+    assert_eq!(
+        rc.multi_get(&[b"k001".to_vec(), b"new".to_vec()]).unwrap(),
+        vec![Some(b"v1".to_vec()), None]
+    );
+    assert_eq!(rc.scan_prefix(b"k00", 100).unwrap().len(), 10);
 
     // Kill the primary (server gone; the store object lingers, like a
     // hung process that later resumes).
@@ -151,7 +177,7 @@ fn replica_lag_gauges_and_read_scale_out() {
     let primary = Arc::new(ShieldStore::new(Arc::clone(&primary_enclave), store_config()).unwrap());
     primary.attach_wal(&primary_wal).unwrap();
     let primary_server = Server::start(
-        Arc::clone(&primary) as Arc<dyn shield_baseline::KvBackend>,
+        Arc::clone(&primary) as Arc<dyn shieldstore::KvBackend>,
         Some(Arc::clone(&primary_enclave)),
         server_config(),
     )

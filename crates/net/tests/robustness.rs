@@ -224,6 +224,72 @@ proptest! {
     }
 }
 
+/// A valid data request of every shape the client encodes: selector
+/// `sel` picks the opcode, the rest fills its key and payload.
+fn data_request(sel: u8, key: Vec<u8>, value: Vec<u8>, keys: Vec<Vec<u8>>, n: u64) -> Request {
+    let (op, value) = match sel {
+        0 => (OpCode::Get, Vec::new()),
+        1 => (OpCode::Set, value),
+        2 => (OpCode::SetTtl, protocol::encode_set_ttl(n.max(1), &value)),
+        3 => (OpCode::Delete, Vec::new()),
+        4 => (OpCode::Append, value),
+        5 => (OpCode::Increment, n.to_le_bytes().to_vec()),
+        6 => (OpCode::MultiGet, protocol::encode_multi_get(&keys)),
+        7 => {
+            let items: Vec<(Vec<u8>, Vec<u8>)> =
+                keys.iter().map(|k| (k.clone(), value.clone())).collect();
+            (OpCode::MultiSet, protocol::encode_multi_set(&items))
+        }
+        _ => (OpCode::ScanPrefix, protocol::encode_scan_limit(n as u32)),
+    };
+    Request { op, key, value }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+
+    /// Every proper prefix of a valid data request decodes to `Err`,
+    /// never a panic, and only the whole request yields its operation.
+    /// That holds for the whole encoded request and, where the payload
+    /// is self-delimiting (TTL header, delta, batch, scan limit), for
+    /// every prefix of the payload under the full request header too.
+    #[test]
+    fn data_request_prefixes_never_decode(
+        sel in 0u8..9,
+        key in pvec(any::<u8>(), 0..16),
+        value in pvec(any::<u8>(), 0..16),
+        keys in pvec(pvec(any::<u8>(), 0..8), 0..5),
+        n in any::<u64>(),
+    ) {
+        let request = data_request(sel, key, value, keys, n);
+        prop_assert!(request.as_op().is_ok());
+        let encoded = request.encode();
+        prop_assert_eq!(&Request::decode(&encoded).unwrap(), &request);
+        for cut in 0..encoded.len() {
+            let decoded = Request::decode(&encoded[..cut]).and_then(|r| r.as_op().map(drop));
+            prop_assert!(decoded.is_err(), "prefix of {} bytes decoded", cut);
+        }
+        let delimited = match request.op {
+            OpCode::SetTtl => 8,
+            OpCode::Increment | OpCode::MultiGet | OpCode::MultiSet | OpCode::ScanPrefix => {
+                request.value.len()
+            }
+            _ => 0,
+        };
+        for cut in 0..delimited {
+            let prefix = Request { value: request.value[..cut].to_vec(), ..request.clone() };
+            prop_assert!(prefix.as_op().is_err(), "{:?} payload prefix of {} bytes decoded", request.op, cut);
+        }
+    }
+
+    /// Arbitrary payloads under any opcode never panic the operation
+    /// decoder.
+    #[test]
+    fn as_op_never_panics(op in 1u8..17, key in pvec(any::<u8>(), 0..16), value in pvec(any::<u8>(), 0..64)) {
+        let _ = Request { op: OpCode::from_u8(op).unwrap(), key, value }.as_op();
+    }
+}
+
 /// Runs the real handshake over an in-memory duplex pipe.
 fn handshake_pair(
     enclave: &std::sync::Arc<sgx_sim::enclave::Enclave>,
@@ -298,7 +364,7 @@ fn hardened_server(
         store_cfg = store_cfg.with_quarantine();
     }
     let store = Arc::new(shieldstore::ShieldStore::new(Arc::clone(&enclave), store_cfg).unwrap());
-    let backend: Arc<dyn shield_baseline::KvBackend> = Arc::clone(&store) as _;
+    let backend: Arc<dyn shieldstore::KvBackend> = Arc::clone(&store) as _;
     let server = Server::start(backend, Some(Arc::clone(&enclave)), cfg).unwrap();
     (enclave, store, server)
 }

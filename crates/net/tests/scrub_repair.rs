@@ -52,7 +52,7 @@ fn segment_rot_detected_quarantined_and_repaired_from_replica() {
     let primary = Arc::new(ShieldStore::new(Arc::clone(&primary_enclave), store_config()).unwrap());
     primary.attach_wal(&primary_wal).unwrap();
     let primary_server = Server::start(
-        Arc::clone(&primary) as Arc<dyn shield_baseline::KvBackend>,
+        Arc::clone(&primary) as Arc<dyn shieldstore::KvBackend>,
         Some(Arc::clone(&primary_enclave)),
         server_config(),
     )

@@ -48,7 +48,7 @@ fn soak_thousands_of_connections_no_leaks_clean_drain() {
         )
         .unwrap(),
     );
-    let backend: std::sync::Arc<dyn shield_baseline::KvBackend> = store as _;
+    let backend: std::sync::Arc<dyn shieldstore::KvBackend> = store as _;
     let server = Server::start(
         backend,
         Some(enclave),

@@ -7,8 +7,9 @@ use sgx_sim::enclave::EnclaveBuilder;
 use shield_baseline::KvBackend;
 use shield_net::client::KvClient;
 use shield_net::server::{CrossingMode, Server, ServerConfig};
+use shield_net::NetError;
 use shield_workload::{make_key, make_value, Generator, Op, Spec};
-use shieldstore::{Config, ShieldStore};
+use shieldstore::{Config, Op as StoreOp, OpError, OpResult, Reply, ShieldStore};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -336,4 +337,108 @@ fn full_lifecycle_load_snapshot_restore_serve() {
     restored.delete(&make_key(1, 16)).unwrap();
     assert_eq!(restored.len(), 2_000);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `op` through an attested client's typed methods, translating the
+/// answer back into the in-process reply vocabulary.
+fn over_wire(client: &mut KvClient, op: &StoreOp<'_>) -> OpResult<Reply> {
+    let done = |()| Reply::Done;
+    let result = match op {
+        StoreOp::Get { key } => client.get(key).map(|v| v.map_or(Reply::NotFound, Reply::Value)),
+        StoreOp::Set { key, value, ttl_ns: 0 } => client.set(key, value).map(done),
+        StoreOp::Set { key, value, ttl_ns } => client.set_ttl(key, value, *ttl_ns).map(done),
+        StoreOp::Delete { key } => {
+            client.delete(key).map(|hit| if hit { Reply::Done } else { Reply::NotFound })
+        }
+        StoreOp::Append { key, suffix } => client.append(key, suffix).map(done),
+        StoreOp::Increment { key, delta } => client.increment(key, *delta).map(Reply::Counter),
+        StoreOp::MultiGet { keys } => {
+            let keys: Vec<Vec<u8>> = keys.iter().map(|k| k.to_vec()).collect();
+            client.multi_get(&keys).map(Reply::Values)
+        }
+        StoreOp::MultiSet { items } => {
+            let items: Vec<(Vec<u8>, Vec<u8>)> =
+                items.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+            client.multi_set(&items).map(done)
+        }
+        StoreOp::ScanPrefix { prefix, limit } => {
+            client.scan_prefix(prefix, *limit as u32).map(Reply::Entries)
+        }
+    };
+    result.map_err(|e| match e {
+        NetError::Quarantined => OpError::Quarantined,
+        NetError::QuotaExceeded => OpError::QuotaExceeded,
+        NetError::ReadOnly => OpError::ReadOnly,
+        NetError::StorageFailed => OpError::StorageFailed,
+        _ => OpError::Failed,
+    })
+}
+
+/// One seeded stream covering every operation variant, run two ways:
+/// in process through `KvBackend::execute` on one store, and through an
+/// attested `KvClient` against an identically configured second store.
+/// Every reply, and the final contents, must be identical.
+#[test]
+fn in_process_execute_matches_attested_wire() {
+    let config =
+        || Config::shield_opt().buckets(256).mac_hashes(64).with_shards(2).with_ordered_index();
+    let build = || EnclaveBuilder::new("e2e-diff").epc_bytes(8 << 20).seed(31).build();
+    let local = ShieldStore::new(build(), config()).unwrap();
+    let enclave = build();
+    let remote = Arc::new(ShieldStore::new(Arc::clone(&enclave), config()).unwrap());
+    let server = Server::start(
+        Arc::clone(&remote) as Arc<dyn KvBackend>,
+        Some(Arc::clone(&enclave)),
+        ServerConfig { event_loops: 2, ..Default::default() },
+    )
+    .unwrap();
+    let verifier =
+        AttestationVerifier::for_enclave(&enclave).expect_measurement(*enclave.measurement());
+    let mut client = KvClient::connect_secure(server.addr(), &verifier, 33).unwrap();
+
+    let mut rng = shield_workload::rng::SplitMix64::new(0xd1ff);
+    let key = |id: u64| format!("d:{id:02}").into_bytes();
+    let mut seen = [0usize; 9];
+    for step in 0..900u64 {
+        // Owned material the borrowed operation points into. Values are
+        // sometimes decimal so increments both succeed and fail.
+        let k = key(rng.next_below(24));
+        let value = match rng.next_below(3) {
+            0 => rng.next_below(1000).to_string().into_bytes(),
+            _ => make_value(step, rng.next_below(4), 1 + rng.next_below(24) as usize),
+        };
+        let keys: Vec<Vec<u8>> = (0..rng.next_below(5)).map(|_| key(rng.next_below(24))).collect();
+        let prefix = format!("d:{}", rng.next_below(3)).into_bytes();
+        let kind = rng.next_below(9) as usize;
+        seen[kind] += 1;
+        let op = match kind {
+            0 => StoreOp::Get { key: &k },
+            1 => StoreOp::Set { key: &k, value: &value, ttl_ns: 0 },
+            // A TTL that lapses at once or outlives the test: both
+            // stores must agree either way.
+            2 => StoreOp::Set {
+                key: &k,
+                value: &value,
+                ttl_ns: if rng.next_below(2) == 0 { 1 } else { 3_600_000_000_000 },
+            },
+            3 => StoreOp::Delete { key: &k },
+            4 => StoreOp::Append { key: &k, suffix: &value },
+            5 => StoreOp::Increment { key: &k, delta: rng.next_below(200) as i64 - 100 },
+            6 => StoreOp::MultiGet { keys: keys.iter().map(Vec::as_slice).collect() },
+            7 => StoreOp::MultiSet {
+                items: keys.iter().map(|k| (k.as_slice(), value.as_slice())).collect(),
+            },
+            _ => StoreOp::ScanPrefix { prefix: &prefix, limit: rng.next_below(12) as usize },
+        };
+        let in_process = local.execute(0, op.clone());
+        let wire = over_wire(&mut client, &op);
+        assert_eq!(in_process, wire, "step {step}: {op:?}");
+    }
+    assert!(seen.iter().all(|&n| n > 0), "every operation variant ran: {seen:?}");
+
+    let contents = |s: &ShieldStore| s.scan_prefix(b"", usize::MAX).unwrap();
+    assert!(!contents(&local).is_empty());
+    assert_eq!(contents(&local), contents(&remote), "final contents diverged");
+    drop(client);
+    server.shutdown();
 }
