@@ -34,21 +34,25 @@ use crate::ordered::OrderedIndex;
 use crate::stats::{OpStats, StatsSnapshot};
 use crate::table::TableCtx;
 use crate::tenant::DEFAULT_TENANT;
-use crate::tenant::{nskey, split_nskey, TenantId, TenantKeys, TenantRegistry, TenantState};
+use crate::tenant::{
+    nskey, split_nskey, TallyCells, TenantId, TenantKeys, TenantRegistry, TenantSlot, TenantTally,
+};
 use crate::ttl;
+use parking_lot::Mutex;
 use sgx_sim::enclave::Enclave;
 use shield_crypto::cmac::Cmac;
 use shield_crypto::siphash::SipHash24;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::Ordering as AtomicOrdering;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::Arc;
 
 /// The store's secret keys. Generated inside the enclave at store creation
 /// and never exposed in plaintext outside it (they are sealed into
 /// snapshot metadata).
 ///
 /// Entry data keys are *per tenant*, derived on demand from the KDF
-/// master (`raw[4]`) and memoized in an in-enclave keyring. The master
+/// master (`raw[4]`) and memoized in an in-enclave keyring; each shard
+/// copies a tenant's keys into its own [`TenantSlot`] once. The master
 /// CMAC key keys the bucket-set hashes only — it is never involved in
 /// entry sealing, so no tenant-key compromise can forge set hashes.
 pub(crate) struct StoreKeys {
@@ -64,6 +68,8 @@ pub(crate) struct StoreKeys {
     pub raw: [[u8; 16]; 5],
     /// Memoized per-tenant derived keys (enclave-resident).
     tenants: Mutex<HashMap<TenantId, Arc<TenantKeys>>>,
+    /// Acquisitions of the keyring lock.
+    keyring_locks: AtomicU64,
 }
 
 impl StoreKeys {
@@ -84,6 +90,7 @@ impl StoreKeys {
             hint: SipHash24::new(&raw[3]),
             raw,
             tenants: Mutex::new(HashMap::new()),
+            keyring_locks: AtomicU64::new(0),
         }
     }
 
@@ -91,10 +98,17 @@ impl StoreKeys {
     /// first use. Derivation is deterministic, so the keyring is a pure
     /// cache — it never needs sealing.
     pub fn tenant_keys(&self, tenant: TenantId) -> Arc<TenantKeys> {
-        let mut map = self.tenants.lock().expect("tenant keyring poisoned");
+        let mut map = self.tenants.lock();
+        self.keyring_locks.fetch_add(1, AtomicOrdering::Relaxed);
         Arc::clone(
             map.entry(tenant).or_insert_with(|| Arc::new(TenantKeys::derive(&self.raw[4], tenant))),
         )
+    }
+
+    /// How many times the keyring lock has been taken. Shards take it
+    /// only when they first serve a tenant.
+    pub fn keyring_lock_acquisitions(&self) -> u64 {
+        self.keyring_locks.load(AtomicOrdering::Relaxed)
     }
 
     /// The 64-bit keyed index hash of `key`.
@@ -113,13 +127,34 @@ impl StoreKeys {
 /// The per-operation tenant context threaded through the table-level
 /// free functions: who is operating, under which derived keys, at what
 /// TTL-clock reading, with what deadline for writes, against which
-/// quota/usage accounting (`None` = unmetered, e.g. internal merges).
+/// tenant slot's quota and tallies (`None` = unmetered, e.g. internal
+/// merges).
 pub(crate) struct OpCtx<'a> {
     pub tenant: TenantId,
     pub tkeys: &'a TenantKeys,
     pub now: u64,
     pub expires_at: u64,
-    pub state: Option<&'a TenantState>,
+    pub meter: Option<&'a TenantSlot>,
+}
+
+impl<'a> OpCtx<'a> {
+    /// A client op on `slot`'s tenant: charged to its quota and tallies.
+    fn metered(tenant: TenantId, slot: &'a TenantSlot, expires_at: u64) -> Self {
+        Self { tenant, tkeys: &slot.keys, now: ttl::now_ns(), expires_at, meter: Some(slot) }
+    }
+
+    /// An internal op under `slot`'s keys that charges nothing.
+    fn unmetered(tenant: TenantId, slot: &'a TenantSlot) -> Self {
+        Self { tenant, tkeys: &slot.keys, now: ttl::now_ns(), expires_at: 0, meter: None }
+    }
+
+    /// Adds `n` to the tally `cell` picks, when metered.
+    #[inline]
+    fn tally(&self, cell: impl FnOnce(&TallyCells) -> &AtomicU64, n: u64) {
+        if let Some(slot) = self.meter {
+            TallyCells::add(cell(&slot.tally), n);
+        }
+    }
 }
 
 /// Per-shard configuration derived from [`Config`].
@@ -221,6 +256,9 @@ pub struct Shard {
     cfg: ShardConfig,
     keys: Arc<StoreKeys>,
     enclave: Arc<Enclave>,
+    registry: Arc<TenantRegistry>,
+    /// This shard's slot for every tenant it has served.
+    tenants: HashMap<TenantId, Arc<TenantSlot>>,
     main: Option<TableCtx>,
     frozen: Option<Arc<TableCtx>>,
     temp: Option<TempTable>,
@@ -615,9 +653,7 @@ fn get_in_bucket(
                 plain.clear();
                 scratch.entry = plain;
                 stats.expired_lazy += 1;
-                if let Some(st) = op.state {
-                    st.usage.expired_lazy.fetch_add(1, AtomicOrdering::SeqCst);
-                }
+                op.tally(|t| &t.expired_lazy, 1);
                 return Ok(None);
             }
             let value = plain.split_off(found.header.key_len as usize);
@@ -655,9 +691,7 @@ fn set_in(
 /// Charges a quota rejection to the op's tenant and fails the write.
 fn quota_reject(op: &OpCtx<'_>, stats: &mut OpStats) -> Error {
     stats.quota_rejections += 1;
-    if let Some(st) = op.state {
-        st.usage.quota_rejections.fetch_add(1, AtomicOrdering::SeqCst);
-    }
+    op.tally(|t| &t.quota_rejections, 1);
     Error::QuotaExceeded { tenant: op.tenant }
 }
 
@@ -697,7 +731,7 @@ fn set_in_bucket(
             // an update (its IV+1 would reuse an already-spent counter).
             verify_side_mac_write(cfg, ctx, bucket, &found)?;
             let old_len = found.header.entry_len();
-            if let Some(st) = op.state {
+            if let Some(st) = op.meter.map(|m| &m.state) {
                 if new_len > old_len {
                     if !st.usage.try_charge_bytes(&st.quota, (new_len - old_len) as u64) {
                         return Err(quota_reject(op, stats));
@@ -764,7 +798,7 @@ fn set_in_bucket(
         }
         None => {
             verify_absence_consistency(cfg, ctx, scratch, bucket)?;
-            if let Some(st) = op.state {
+            if let Some(st) = op.meter.map(|m| &m.state) {
                 if !st.usage.try_charge(&st.quota, new_len as u64, 1) {
                     return Err(quota_reject(op, stats));
                 }
@@ -855,9 +889,7 @@ fn delete_in(
             return Err(Error::IntegrityViolation { bucket });
         }
         stats.expired_lazy += 1;
-        if let Some(st) = op.state {
-            st.usage.expired_lazy.fetch_add(1, AtomicOrdering::SeqCst);
-        }
+        op.tally(|t| &t.expired_lazy, 1);
         return Ok(false);
     }
 
@@ -873,8 +905,8 @@ fn delete_in(
         ctx.mac_heads[bucket] = head;
     }
     ctx.count -= 1;
-    if let Some(st) = op.state {
-        st.usage.discharge(found.header.entry_len() as u64, 1);
+    if let Some(slot) = op.meter {
+        slot.state.usage.discharge(found.header.entry_len() as u64, 1);
     }
     update_set_hash(cfg, keys, ctx, stats, set)?;
     Ok(true)
@@ -905,6 +937,7 @@ impl Shard {
     pub(crate) fn new(
         enclave: Arc<Enclave>,
         keys: Arc<StoreKeys>,
+        registry: Arc<TenantRegistry>,
         cfg: ShardConfig,
     ) -> Result<Self> {
         let heap = UntrustedHeap::new(Arc::clone(&enclave), cfg.alloc);
@@ -915,6 +948,8 @@ impl Shard {
             cfg,
             keys,
             enclave,
+            registry,
+            tenants: HashMap::new(),
             main: Some(main),
             frozen: None,
             temp: None,
@@ -931,6 +966,35 @@ impl Shard {
     pub(crate) fn enable_cache(&mut self, bytes: usize) {
         if bytes > 0 {
             self.cache = Some(EnclaveCache::new(Arc::clone(&self.enclave), bytes));
+        }
+    }
+
+    /// This shard's slot for `tenant`. It is built on the tenant's first
+    /// op here and rebuilt only after [`TenantRegistry::configure`] has
+    /// bumped the registry generation, so ops by known tenants take no
+    /// store-wide lock and write no store-wide word to find their keys,
+    /// quota and tallies.
+    fn slot(&mut self, tenant: TenantId) -> Arc<TenantSlot> {
+        // Read before the state, so a configure racing with the rebuild
+        // leaves the slot stale and the next op refreshes it again.
+        let generation = self.registry.generation();
+        let current = self.tenants.get(&tenant);
+        if let Some(slot) = current.filter(|slot| slot.generation == generation) {
+            return Arc::clone(slot);
+        }
+        let state = self.registry.state(tenant);
+        let slot = Arc::new(match current {
+            Some(stale) => stale.refreshed(state, generation),
+            None => TenantSlot::new((*self.keys.tenant_keys(tenant)).clone(), state, generation),
+        });
+        self.tenants.insert(tenant, Arc::clone(&slot));
+        slot
+    }
+
+    /// Adds this shard's per-tenant op tallies into `out`.
+    pub(crate) fn add_tenant_tallies(&self, out: &mut HashMap<TenantId, TenantTally>) {
+        for (tenant, slot) in &self.tenants {
+            out.entry(*tenant).or_default().merge(&slot.tally.get());
         }
     }
 
@@ -1130,21 +1194,17 @@ impl Shard {
 
     /// Retrieves the value for `key` in the default namespace.
     pub fn get(&mut self, key: &[u8]) -> Result<Vec<u8>> {
-        self.get_t(DEFAULT_TENANT, key, None)
+        self.get_t(DEFAULT_TENANT, key)
     }
 
-    /// Retrieves the value for `key` in `tenant`'s namespace. `state`
-    /// (when given) receives per-tenant op accounting.
-    pub fn get_t(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        state: Option<&TenantState>,
-    ) -> Result<Vec<u8>> {
+    /// Retrieves the value for `key` in `tenant`'s namespace, counted in
+    /// the tenant's tallies.
+    pub fn get_t(&mut self, tenant: TenantId, key: &[u8]) -> Result<Vec<u8>> {
         let timer = OpTimer::start();
         let result = match self.quarantine_guard(key) {
             Ok(()) => {
-                let r = self.get_untimed(tenant, key, state);
+                let slot = self.slot(tenant);
+                let r = self.get_untimed(&OpCtx::metered(tenant, &slot, 0), key);
                 self.observe(r)
             }
             Err(e) => {
@@ -1158,38 +1218,25 @@ impl Shard {
         result
     }
 
-    fn get_untimed(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        state: Option<&TenantState>,
-    ) -> Result<Vec<u8>> {
+    fn get_untimed(&mut self, op: &OpCtx<'_>, key: &[u8]) -> Result<Vec<u8>> {
         self.stats.gets += 1;
-        if let Some(st) = state {
-            st.usage.gets.fetch_add(1, AtomicOrdering::SeqCst);
-        }
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state };
-        match self.lookup_traced(&op, key)? {
+        op.tally(|t| &t.gets, 1);
+        match self.lookup_traced(op, key)? {
             Some((v, expires_at, from_cache)) => {
                 self.stats.hits += 1;
-                if let Some(st) = state {
-                    st.usage.hits.fetch_add(1, AtomicOrdering::SeqCst);
-                }
+                op.tally(|t| &t.hits, 1);
                 // Populate the cache on an untrusted-path hit (a cache hit
                 // is already resident) — but never with a TTL'd value.
                 if !from_cache && expires_at == 0 {
                     if let Some(cache) = self.cache.as_mut() {
-                        cache.put(&nskey(tenant, key), &v);
+                        cache.put(&nskey(op.tenant, key), &v);
                     }
                 }
                 Ok(v)
             }
             None => {
                 self.stats.misses += 1;
-                if let Some(st) = state {
-                    st.usage.misses.fetch_add(1, AtomicOrdering::SeqCst);
-                }
+                op.tally(|t| &t.misses, 1);
                 Err(Error::KeyNotFound)
             }
         }
@@ -1198,30 +1245,56 @@ impl Shard {
     /// Stores `value` under `key` (insert or update) in the default
     /// namespace, with no expiry.
     pub fn set(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.set_t(DEFAULT_TENANT, key, value, 0, None)
+        self.set_t(DEFAULT_TENANT, key, value, 0)
     }
 
     /// Stores `value` under `key` in `tenant`'s namespace. `expires_at`
     /// is an absolute [`ttl`] deadline in ns (`0` = no expiry) and
-    /// *replaces* any previous deadline. `state` (when given) enforces
-    /// the tenant's quota and receives usage accounting.
+    /// *replaces* any previous deadline. The write is admitted against
+    /// the tenant's quota and counted in its tallies.
     pub fn set_t(
         &mut self,
         tenant: TenantId,
         key: &[u8],
         value: &[u8],
         expires_at: u64,
-        state: Option<&TenantState>,
+    ) -> Result<()> {
+        self.write_t(tenant, key, value, expires_at, true)
+    }
+
+    /// Recovery and replica replay of a logged set: applied like
+    /// [`Shard::set_t`] but without quota admission or tenant tallies —
+    /// the op was admitted when it first ran, and usage is recounted
+    /// after replay.
+    pub(crate) fn replay_set_t(
+        &mut self,
+        tenant: TenantId,
+        key: &[u8],
+        value: &[u8],
+        expires_at: u64,
+    ) -> Result<()> {
+        self.write_t(tenant, key, value, expires_at, false)
+    }
+
+    fn write_t(
+        &mut self,
+        tenant: TenantId,
+        key: &[u8],
+        value: &[u8],
+        expires_at: u64,
+        metered: bool,
     ) -> Result<()> {
         let timer = OpTimer::start();
         self.stats.sets += 1;
-        if let Some(st) = state {
-            st.usage.sets.fetch_add(1, AtomicOrdering::SeqCst);
-        }
+        let slot = self.slot(tenant);
+        let op = if metered {
+            OpCtx::metered(tenant, &slot, expires_at)
+        } else {
+            OpCtx { expires_at, ..OpCtx::unmetered(tenant, &slot) }
+        };
+        op.tally(|t| &t.sets, 1);
         let result = match self.quarantine_guard(key) {
             Ok(()) => {
-                let tkeys = self.keys.tenant_keys(tenant);
-                let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at, state };
                 let r = self.apply_write(&op, key, value);
                 self.observe(r)
             }
@@ -1233,7 +1306,7 @@ impl Shard {
 
     /// Batched lookup in the default namespace.
     pub fn multi_get(&mut self, batch: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.multi_get_t(DEFAULT_TENANT, batch, None)
+        self.multi_get_t(DEFAULT_TENANT, batch)
     }
 
     /// Batched lookup in `tenant`'s namespace: re-derives each touched
@@ -1248,12 +1321,12 @@ impl Shard {
         &mut self,
         tenant: TenantId,
         batch: &[&[u8]],
-        state: Option<&TenantState>,
     ) -> Result<Vec<Option<Vec<u8>>>> {
         let timer = OpTimer::start();
         let result = match self.quarantine_guard_batch(batch.iter().copied()) {
             Ok(()) => {
-                let r = self.multi_get_untimed(tenant, batch, state);
+                let slot = self.slot(tenant);
+                let r = self.multi_get_untimed(&OpCtx::metered(tenant, &slot, 0), batch);
                 self.observe(r)
             }
             Err(e) => Err(e),
@@ -1264,25 +1337,21 @@ impl Shard {
 
     fn multi_get_untimed(
         &mut self,
-        tenant: TenantId,
+        op: &OpCtx<'_>,
         batch: &[&[u8]],
-        state: Option<&TenantState>,
     ) -> Result<Vec<Option<Vec<u8>>>> {
+        let tenant = op.tenant;
         self.stats.batches += 1;
         self.stats.batch_ops += batch.len() as u64;
         self.stats.gets += batch.len() as u64;
-        if let Some(st) = state {
-            st.usage.gets.fetch_add(batch.len() as u64, AtomicOrdering::SeqCst);
-        }
+        op.tally(|t| &t.gets, batch.len() as u64);
         let mut results: Vec<Option<Vec<u8>>> = vec![None; batch.len()];
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state };
 
         if self.temp.is_some() {
             // Snapshot in progress: lookups span the temp and frozen
             // tables, whose bucket sets do not line up — per-op path.
             for (i, key) in batch.iter().enumerate() {
-                if let Some((v, exp, from_cache)) = self.lookup_traced(&op, key)? {
+                if let Some((v, exp, from_cache)) = self.lookup_traced(op, key)? {
                     if !from_cache && exp == 0 {
                         if let Some(cache) = self.cache.as_mut() {
                             cache.put(&nskey(tenant, key), &v);
@@ -1291,7 +1360,7 @@ impl Shard {
                     results[i] = Some(v);
                 }
             }
-            self.tally_batch_hits(state, &results);
+            self.tally_batch_hits(op, &results);
             return Ok(results);
         }
 
@@ -1331,7 +1400,7 @@ impl Shard {
                 verified = Some(set);
             }
             if let Some((v, exp)) =
-                get_in_bucket(cfg, keys, &op, main, stats, scratch, bucket, batch[i])?
+                get_in_bucket(cfg, keys, op, main, stats, scratch, bucket, batch[i])?
             {
                 if exp == 0 {
                     if let Some(cache) = cache.as_mut() {
@@ -1341,13 +1410,13 @@ impl Shard {
                 results[i] = Some(v);
             }
         }
-        self.tally_batch_hits(state, &results);
+        self.tally_batch_hits(op, &results);
         Ok(results)
     }
 
     /// Batched write in the default namespace (no expiry).
     pub fn multi_set(&mut self, items: &[(&[u8], &[u8])]) -> Result<()> {
-        self.multi_set_t(DEFAULT_TENANT, items, 0, None)
+        self.multi_set_t(DEFAULT_TENANT, items, 0)
     }
 
     /// Batched write in `tenant`'s namespace: verifies each touched
@@ -1365,12 +1434,12 @@ impl Shard {
         tenant: TenantId,
         items: &[(&[u8], &[u8])],
         expires_at: u64,
-        state: Option<&TenantState>,
     ) -> Result<()> {
         let timer = OpTimer::start();
         let result = match self.quarantine_guard_batch(items.iter().map(|(k, _)| *k)) {
             Ok(()) => {
-                let r = self.multi_set_untimed(tenant, items, expires_at, state);
+                let slot = self.slot(tenant);
+                let r = self.multi_set_untimed(&OpCtx::metered(tenant, &slot, expires_at), items);
                 self.observe(r)
             }
             Err(e) => Err(e),
@@ -1379,31 +1448,22 @@ impl Shard {
         result
     }
 
-    fn multi_set_untimed(
-        &mut self,
-        tenant: TenantId,
-        items: &[(&[u8], &[u8])],
-        expires_at: u64,
-        state: Option<&TenantState>,
-    ) -> Result<()> {
+    fn multi_set_untimed(&mut self, op: &OpCtx<'_>, items: &[(&[u8], &[u8])]) -> Result<()> {
         for (key, value) in items {
             self.check_item(key, value)?;
         }
+        let (tenant, expires_at) = (op.tenant, op.expires_at);
         self.stats.batches += 1;
         self.stats.batch_ops += items.len() as u64;
         self.stats.sets += items.len() as u64;
-        if let Some(st) = state {
-            st.usage.sets.fetch_add(items.len() as u64, AtomicOrdering::SeqCst);
-        }
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at, state };
+        op.tally(|t| &t.sets, items.len() as u64);
 
         if self.temp.is_some() {
             // Snapshot in progress: writes land in the small temp table,
             // where batching the set-hash work is not worth the
             // bookkeeping — the temp table is merged away shortly.
             for (key, value) in items {
-                self.apply_write(&op, key, value)?;
+                self.apply_write(op, key, value)?;
             }
             return Ok(());
         }
@@ -1437,7 +1497,7 @@ impl Shard {
                 current = Some(set);
             }
             let (key, value) = items[i];
-            set_in_bucket(cfg, keys, &op, main, stats, scratch, bucket, key, value).map_err(
+            set_in_bucket(cfg, keys, op, main, stats, scratch, bucket, key, value).map_err(
                 |e| {
                     // The set hash for the current group must be re-stored
                     // even on a quota rejection mid-batch: earlier items in
@@ -1467,20 +1527,18 @@ impl Shard {
     }
 
     /// Classifies batched results into the hit/miss counters.
-    fn tally_batch_hits(&mut self, state: Option<&TenantState>, results: &[Option<Vec<u8>>]) {
+    fn tally_batch_hits(&mut self, op: &OpCtx<'_>, results: &[Option<Vec<u8>>]) {
         let hits = results.iter().filter(|r| r.is_some()).count() as u64;
         let misses = results.len() as u64 - hits;
         self.stats.hits += hits;
         self.stats.misses += misses;
-        if let Some(st) = state {
-            st.usage.hits.fetch_add(hits, AtomicOrdering::SeqCst);
-            st.usage.misses.fetch_add(misses, AtomicOrdering::SeqCst);
-        }
+        op.tally(|t| &t.hits, hits);
+        op.tally(|t| &t.misses, misses);
     }
 
     /// Removes `key` from the default namespace.
     pub fn delete(&mut self, key: &[u8]) -> Result<()> {
-        self.delete_t(DEFAULT_TENANT, key, None)
+        self.delete_t(DEFAULT_TENANT, key)
     }
 
     /// Removes `key` from `tenant`'s namespace. Errors with
@@ -1488,16 +1546,12 @@ impl Shard {
     /// deadline, in which case physical removal is left to the sweep
     /// (which WAL-logs it; an unlogged removal here would diverge from
     /// recovery replay).
-    pub fn delete_t(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        state: Option<&TenantState>,
-    ) -> Result<()> {
+    pub fn delete_t(&mut self, tenant: TenantId, key: &[u8]) -> Result<()> {
         let timer = OpTimer::start();
         let result = match self.quarantine_guard(key) {
             Ok(()) => {
-                let r = self.delete_untimed(tenant, key, state);
+                let slot = self.slot(tenant);
+                let r = self.delete_untimed(&OpCtx::metered(tenant, &slot, 0), key);
                 self.observe(r)
             }
             Err(e) => {
@@ -1509,19 +1563,12 @@ impl Shard {
         result
     }
 
-    fn delete_untimed(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        state: Option<&TenantState>,
-    ) -> Result<()> {
+    fn delete_untimed(&mut self, op: &OpCtx<'_>, key: &[u8]) -> Result<()> {
         self.stats.deletes += 1;
-        let ns = nskey(tenant, key);
+        let ns = nskey(op.tenant, key);
         if let Some(cache) = self.cache.as_mut() {
             cache.remove(&ns);
         }
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state };
         if let Some(temp) = self.temp.as_mut() {
             self.stats.temp_table_ops += 1;
             // Remove any temp-table copy.
@@ -1529,7 +1576,7 @@ impl Shard {
             let removed_temp = delete_in(
                 cfg,
                 keys,
-                &op,
+                op,
                 &mut temp.ctx,
                 &mut self.stats,
                 &mut self.scratch,
@@ -1541,7 +1588,7 @@ impl Shard {
             let in_frozen = get_in(
                 &self.cfg,
                 &self.keys,
-                &op,
+                op,
                 &frozen,
                 &mut self.stats,
                 &mut self.scratch,
@@ -1550,9 +1597,7 @@ impl Shard {
             .is_some();
             if !removed_temp && !in_frozen {
                 self.stats.misses += 1;
-                if let Some(st) = state {
-                    st.usage.misses.fetch_add(1, AtomicOrdering::SeqCst);
-                }
+                op.tally(|t| &t.misses, 1);
                 return Err(Error::KeyNotFound);
             }
             if in_frozen {
@@ -1563,16 +1608,14 @@ impl Shard {
                 index.remove(&ns);
             }
             self.stats.hits += 1;
-            if let Some(st) = state {
-                st.usage.hits.fetch_add(1, AtomicOrdering::SeqCst);
-            }
+            op.tally(|t| &t.hits, 1);
             return Ok(());
         }
         let main = self.main.as_mut().expect("main table present");
         if delete_in(
             &self.cfg,
             &self.keys,
-            &op,
+            op,
             main,
             &mut self.stats,
             &mut self.scratch,
@@ -1583,15 +1626,11 @@ impl Shard {
                 index.remove(&ns);
             }
             self.stats.hits += 1;
-            if let Some(st) = state {
-                st.usage.hits.fetch_add(1, AtomicOrdering::SeqCst);
-            }
+            op.tally(|t| &t.hits, 1);
             Ok(())
         } else {
             self.stats.misses += 1;
-            if let Some(st) = state {
-                st.usage.misses.fetch_add(1, AtomicOrdering::SeqCst);
-            }
+            op.tally(|t| &t.misses, 1);
             Err(Error::KeyNotFound)
         }
     }
@@ -1600,7 +1639,7 @@ impl Shard {
     /// creating it when absent — one of the server-side operations
     /// motivating server-side encryption (paper §3.2, Fig. 12).
     pub fn append(&mut self, key: &[u8], suffix: &[u8]) -> Result<usize> {
-        self.append_value_t(DEFAULT_TENANT, key, suffix, None).map(|v| v.len())
+        self.append_value_t(DEFAULT_TENANT, key, suffix).map(|v| v.len())
     }
 
     /// Tenant-scoped append. Any existing expiry deadline is cleared by
@@ -1611,12 +1650,11 @@ impl Shard {
         tenant: TenantId,
         key: &[u8],
         suffix: &[u8],
-        state: Option<&TenantState>,
     ) -> Result<Vec<u8>> {
         self.stats.appends += 1;
         self.quarantine_guard(key)?;
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state };
+        let slot = self.slot(tenant);
+        let op = OpCtx::metered(tenant, &slot, 0);
         let result = (|| {
             let mut value = self.lookup(&op, key)?.unwrap_or_default();
             value.extend_from_slice(suffix);
@@ -1630,22 +1668,16 @@ impl Shard {
     /// namespace (creating it as `delta` when absent) and returns the
     /// new value.
     pub fn increment(&mut self, key: &[u8], delta: i64) -> Result<i64> {
-        self.increment_t(DEFAULT_TENANT, key, delta, None)
+        self.increment_t(DEFAULT_TENANT, key, delta)
     }
 
     /// Tenant-scoped increment; clears any expiry deadline like
     /// [`Shard::append_value_t`].
-    pub fn increment_t(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        delta: i64,
-        state: Option<&TenantState>,
-    ) -> Result<i64> {
+    pub fn increment_t(&mut self, tenant: TenantId, key: &[u8], delta: i64) -> Result<i64> {
         self.stats.increments += 1;
         self.quarantine_guard(key)?;
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state };
+        let slot = self.slot(tenant);
+        let op = OpCtx::metered(tenant, &slot, 0);
         let result = (|| {
             let current = match self.lookup(&op, key)? {
                 Some(v) => {
@@ -1663,20 +1695,15 @@ impl Shard {
 
     /// True when `key` exists in the default namespace (verified lookup).
     pub fn exists(&mut self, key: &[u8]) -> Result<bool> {
-        self.exists_t(DEFAULT_TENANT, key, None)
+        self.exists_t(DEFAULT_TENANT, key)
     }
 
     /// True when `key` exists in `tenant`'s namespace (verified lookup;
     /// an expired entry reads as absent).
-    pub fn exists_t(
-        &mut self,
-        tenant: TenantId,
-        key: &[u8],
-        state: Option<&TenantState>,
-    ) -> Result<bool> {
+    pub fn exists_t(&mut self, tenant: TenantId, key: &[u8]) -> Result<bool> {
         self.quarantine_guard(key)?;
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state };
+        let slot = self.slot(tenant);
+        let op = OpCtx::metered(tenant, &slot, 0);
         let result = self.lookup(&op, key).map(|v| v.is_some());
         self.observe(result)
     }
@@ -1690,8 +1717,8 @@ impl Shard {
         if let Some(cache) = self.cache.as_mut() {
             cache.remove(&ns);
         }
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state: None };
+        let slot = self.slot(tenant);
+        let op = OpCtx::unmetered(tenant, &slot);
         let main = self.main.as_mut().expect("main table present");
         let removed = delete_in(
             &self.cfg,
@@ -1767,8 +1794,8 @@ impl Shard {
         tenant: TenantId,
         nskeys: Vec<Vec<u8>>,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let tkeys = self.keys.tenant_keys(tenant);
-        let op = OpCtx { tenant, tkeys: &tkeys, now: ttl::now_ns(), expires_at: 0, state: None };
+        let slot = self.slot(tenant);
+        let op = OpCtx::unmetered(tenant, &slot);
         let result = (|| {
             let mut out = Vec::with_capacity(nskeys.len());
             for ns in &nskeys {
@@ -1795,11 +1822,7 @@ impl Shard {
     /// trips [`Error::IntegrityViolation`] on the next read. Skipped
     /// while a snapshot freeze is active (the frozen table is immutable;
     /// lazy expiry keeps hiding dead entries until the next sweep).
-    pub fn sweep_expired(
-        &mut self,
-        now: u64,
-        registry: &TenantRegistry,
-    ) -> Vec<(TenantId, Vec<u8>)> {
+    pub fn sweep_expired(&mut self, now: u64) -> Vec<(TenantId, Vec<u8>)> {
         let mut reaped = Vec::new();
         if self.temp.is_some() || self.quarantine.whole {
             return reaped;
@@ -1832,10 +1855,8 @@ impl Shard {
         // Pass 2: reap through the normal verified delete path, so the
         // set hashes and MAC chains are maintained like any other write.
         for (tenant, key) in candidates {
-            let state = registry.state(tenant);
-            let tkeys = self.keys.tenant_keys(tenant);
-            let op =
-                OpCtx { tenant, tkeys: &tkeys, now, expires_at: 0, state: Some(state.as_ref()) };
+            let slot = self.slot(tenant);
+            let op = OpCtx { now, ..OpCtx::metered(tenant, &slot, 0) };
             let main = self.main.as_mut().expect("main table present");
             let r = delete_in(
                 &self.cfg,
@@ -1850,7 +1871,7 @@ impl Shard {
             let r = self.observe(r);
             if let Ok(true) = r {
                 self.stats.expired_swept += 1;
-                state.usage.expired_swept.fetch_add(1, AtomicOrdering::SeqCst);
+                op.tally(|t| &t.expired_swept, 1);
                 let ns = nskey(tenant, &key);
                 if let Some(index) = self.index.as_mut() {
                     index.remove(&ns);
@@ -2053,7 +2074,7 @@ impl Shard {
         for ns in &temp.tombstones {
             let (tenant, key) = split_nskey(ns);
             let tkeys = self.keys.tenant_keys(tenant);
-            let op = OpCtx { tenant, tkeys: &tkeys, now, expires_at: 0, state: None };
+            let op = OpCtx { tenant, tkeys: &tkeys, now, expires_at: 0, meter: None };
             let _ = delete_in(
                 &self.cfg,
                 &self.keys,
@@ -2083,7 +2104,7 @@ impl Shard {
                 tkeys: &tkeys,
                 now,
                 expires_at: header.expires_at,
-                state: None,
+                meter: None,
             };
             set_in(
                 &self.cfg,
@@ -2109,7 +2130,8 @@ mod tests {
     fn shard_with(cfg: Config) -> Shard {
         let enclave = EnclaveBuilder::new("shard-test").epc_bytes(4 << 20).build();
         let keys = Arc::new(StoreKeys::generate(&enclave));
-        Shard::new(enclave, keys, ShardConfig::from_config(&cfg)).unwrap()
+        let registry = Arc::new(TenantRegistry::new());
+        Shard::new(enclave, keys, registry, ShardConfig::from_config(&cfg)).unwrap()
     }
 
     fn small_cfg() -> Config {
@@ -2734,23 +2756,23 @@ mod tests {
 
     // -- tenancy, TTL, quota ------------------------------------------
 
-    use crate::tenant::{TenantQuota, TenantState, TenantUsage};
+    use crate::tenant::TenantQuota;
 
     #[test]
     fn tenants_are_isolated_namespaces() {
         let mut s = shard_with(small_cfg());
         vclock::reset();
-        s.set_t(1, b"k", b"one", 0, None).unwrap();
-        s.set_t(2, b"k", b"two", 0, None).unwrap();
+        s.set_t(1, b"k", b"one", 0).unwrap();
+        s.set_t(2, b"k", b"two", 0).unwrap();
         s.set(b"k", b"zero").unwrap(); // tenant 0 sugar
-        assert_eq!(s.get_t(1, b"k", None).unwrap(), b"one");
-        assert_eq!(s.get_t(2, b"k", None).unwrap(), b"two");
+        assert_eq!(s.get_t(1, b"k").unwrap(), b"one");
+        assert_eq!(s.get_t(2, b"k").unwrap(), b"two");
         assert_eq!(s.get(b"k").unwrap(), b"zero");
         assert_eq!(s.len(), 3, "same key in three namespaces = three entries");
-        assert_eq!(s.get_t(3, b"k", None), Err(Error::KeyNotFound));
-        s.delete_t(1, b"k", None).unwrap();
-        assert_eq!(s.get_t(1, b"k", None), Err(Error::KeyNotFound));
-        assert_eq!(s.get_t(2, b"k", None).unwrap(), b"two", "delete stays in its namespace");
+        assert_eq!(s.get_t(3, b"k"), Err(Error::KeyNotFound));
+        s.delete_t(1, b"k").unwrap();
+        assert_eq!(s.get_t(1, b"k"), Err(Error::KeyNotFound));
+        assert_eq!(s.get_t(2, b"k").unwrap(), b"two", "delete stays in its namespace");
         vclock::reset();
     }
 
@@ -2759,13 +2781,13 @@ mod tests {
         let mut s = shard_with(small_cfg());
         vclock::reset();
         s.enable_cache(64 << 10);
-        s.set_t(1, b"k", b"secret", 0, None).unwrap();
-        assert_eq!(s.get_t(1, b"k", None).unwrap(), b"secret");
-        assert_eq!(s.get_t(1, b"k", None).unwrap(), b"secret"); // cache hit
+        s.set_t(1, b"k", b"secret", 0).unwrap();
+        assert_eq!(s.get_t(1, b"k").unwrap(), b"secret");
+        assert_eq!(s.get_t(1, b"k").unwrap(), b"secret"); // cache hit
         assert!(s.stats().cache_hits >= 1);
         // Tenant 2's view of the same byte key must not touch tenant 1's
         // cached plaintext.
-        assert_eq!(s.get_t(2, b"k", None), Err(Error::KeyNotFound));
+        assert_eq!(s.get_t(2, b"k"), Err(Error::KeyNotFound));
         vclock::reset();
     }
 
@@ -2774,9 +2796,9 @@ mod tests {
         let mut s = shard_with(small_cfg());
         vclock::reset();
         let live = ttl::now_ns() + 3_600_000_000_000; // +1h
-        s.set_t(0, b"eternal", b"e", 0, None).unwrap();
-        s.set_t(0, b"live", b"l", live, None).unwrap();
-        s.set_t(0, b"dead", b"d", 1, None).unwrap(); // long expired
+        s.set_t(0, b"eternal", b"e", 0).unwrap();
+        s.set_t(0, b"live", b"l", live).unwrap();
+        s.set_t(0, b"dead", b"d", 1).unwrap(); // long expired
         assert_eq!(s.len(), 3);
 
         // Lazy expiry: reads hide the dead entry without mutating.
@@ -2790,8 +2812,7 @@ mod tests {
         assert_eq!(s.delete(b"dead"), Err(Error::KeyNotFound));
         assert_eq!(s.len(), 3);
 
-        let reg = TenantRegistry::new();
-        let reaped = s.sweep_expired(ttl::now_ns(), &reg);
+        let reaped = s.sweep_expired(ttl::now_ns());
         assert_eq!(reaped, vec![(0, b"dead".to_vec())]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.stats().expired_swept, 1);
@@ -2804,10 +2825,9 @@ mod tests {
     fn ttl_reset_on_set_and_cleared_by_merge_ops() {
         let mut s = shard_with(small_cfg());
         vclock::reset();
-        let reg = TenantRegistry::new();
 
         // SET replaces the deadline wholesale (Redis semantics).
-        s.set_t(0, b"k", b"v1", 1, None).unwrap();
+        s.set_t(0, b"k", b"v1", 1).unwrap();
         assert_eq!(s.get(b"k"), Err(Error::KeyNotFound));
         s.set(b"k", b"v2").unwrap();
         assert_eq!(s.get(b"k").unwrap(), b"v2", "overwrite revives: deadline replaced");
@@ -2815,10 +2835,10 @@ mod tests {
         // Append/increment clear any deadline: their WAL form is a plain
         // set of the produced value, which must replay deadline-free.
         let horizon = ttl::now_ns() + 3_600_000_000_000;
-        s.set_t(0, b"n", b"5", horizon, None).unwrap();
+        s.set_t(0, b"n", b"5", horizon).unwrap();
         assert_eq!(s.increment(b"n", 2).unwrap(), 7);
         let far = ttl::now_ns() + 7_200_000_000_000; // past the old deadline
-        assert!(s.sweep_expired(far, &reg).is_empty(), "increment cleared the deadline");
+        assert!(s.sweep_expired(far).is_empty(), "increment cleared the deadline");
         assert_eq!(s.get(b"n").unwrap(), b"7");
         vclock::reset();
     }
@@ -2828,15 +2848,13 @@ mod tests {
         let mut s = shard_with(small_cfg());
         vclock::reset();
         let entry_cost = (entry::HEADER_LEN + 1 + 3) as u64; // 1-byte key, 3-byte value
-        let state = TenantState {
-            quota: TenantQuota { max_bytes: 2 * entry_cost + 8, max_keys: 2, weight: 1 },
-            usage: Arc::new(TenantUsage::default()),
-        };
+        let quota = TenantQuota { max_bytes: 2 * entry_cost + 8, max_keys: 2, weight: 1 };
+        s.registry.configure(7, quota);
 
-        s.set_t(7, b"a", b"aaa", 0, Some(&state)).unwrap();
-        s.set_t(7, b"b", b"bbb", 0, Some(&state)).unwrap();
+        s.set_t(7, b"a", b"aaa", 0).unwrap();
+        s.set_t(7, b"b", b"bbb", 0).unwrap();
         assert_eq!(
-            s.set_t(7, b"c", b"ccc", 0, Some(&state)),
+            s.set_t(7, b"c", b"ccc", 0),
             Err(Error::QuotaExceeded { tenant: 7 }),
             "third insert exceeds max_keys"
         );
@@ -2844,18 +2862,22 @@ mod tests {
         assert_eq!(s.len(), 2, "rejected insert left no residue");
 
         // Same-size update is free; growth must fit the byte budget.
-        s.set_t(7, b"a", b"AAA", 0, Some(&state)).unwrap();
+        s.set_t(7, b"a", b"AAA", 0).unwrap();
         assert_eq!(
-            s.set_t(7, b"a", vec![0u8; 64].as_slice(), 0, Some(&state)),
+            s.set_t(7, b"a", vec![0u8; 64].as_slice(), 0),
             Err(Error::QuotaExceeded { tenant: 7 })
         );
-        assert_eq!(s.get_t(7, b"a", Some(&state)).unwrap(), b"AAA", "failed grow left old value");
+        assert_eq!(s.get_t(7, b"a").unwrap(), b"AAA", "failed grow left old value");
 
         // Deleting frees budget for a new insert.
-        s.delete_t(7, b"b", Some(&state)).unwrap();
-        s.set_t(7, b"c", b"ccc", 0, Some(&state)).unwrap();
-        assert_eq!(state.usage.used_keys.load(AtomicOrdering::SeqCst), 2);
-        assert_eq!(state.usage.used_bytes.load(AtomicOrdering::SeqCst), 2 * entry_cost);
+        s.delete_t(7, b"b").unwrap();
+        s.set_t(7, b"c", b"ccc", 0).unwrap();
+        let usage = &s.registry.state(7).usage;
+        assert_eq!(usage.used_keys.load(AtomicOrdering::SeqCst), 2);
+        assert_eq!(usage.used_bytes.load(AtomicOrdering::SeqCst), 2 * entry_cost);
+        let tally = s.tenants[&7].tally.get();
+        // One get and one delete hit; two of the six sets were rejected.
+        assert_eq!((tally.sets, tally.quota_rejections, tally.gets, tally.hits), (6, 2, 1, 2));
         vclock::reset();
     }
 
@@ -2868,15 +2890,15 @@ mod tests {
         cfg = cfg.buckets(1);
         let mut s = shard_with(cfg);
         vclock::reset();
-        s.set_t(1, b"k", b"owned", 0, None).unwrap();
+        s.set_t(1, b"k", b"owned", 0).unwrap();
 
         let main = s.main.as_mut().unwrap();
         let mut handle = None;
         main.for_each_entry(|_, h| handle = Some(h));
         main.heap.bytes_at_mut(handle.unwrap(), entry::OFF_TENANT, 4)[0] ^= 0x03;
 
-        assert!(matches!(s.get_t(2, b"k", None), Err(Error::IntegrityViolation { .. })));
-        assert!(matches!(s.get_t(1, b"k", None), Err(Error::IntegrityViolation { .. })));
+        assert!(matches!(s.get_t(2, b"k"), Err(Error::IntegrityViolation { .. })));
+        assert!(matches!(s.get_t(1, b"k"), Err(Error::IntegrityViolation { .. })));
         vclock::reset();
     }
 }

@@ -12,7 +12,7 @@ use crate::error::{Error, Result};
 use crate::repl::Watermark;
 use crate::shard::{Shard, ShardConfig, StoreKeys};
 use crate::stats::{OpStats, StatsSnapshot, TenantStat, MAX_TENANT_STATS};
-use crate::tenant::{TenantId, TenantRegistry, TenantState, DEFAULT_TENANT};
+use crate::tenant::{TenantId, TenantRegistry, TenantState, TenantTally, DEFAULT_TENANT};
 use crate::ttl;
 use crate::wal::{Wal, WalOp};
 use parking_lot::Mutex;
@@ -45,10 +45,10 @@ pub struct ShieldStore {
     /// owning shard's lock (lock order: shard, then WAL), so per-key log
     /// order matches apply order.
     wal: OnceLock<Wal>,
-    /// Tenant quotas, weights, and usage accounting. Tenant 0 exists
-    /// implicitly (unlimited by default); the untenanted API is sugar
-    /// for it.
-    registry: TenantRegistry,
+    /// Tenant quotas, weights, and usage accounting, shared with every
+    /// shard. Tenant 0 exists implicitly (unlimited by default); the
+    /// untenanted API is sugar for it.
+    registry: Arc<TenantRegistry>,
     /// Primary-side replication state (subscriber watermarks, shipping
     /// counters). Inert until the first [`ShieldStore::repl_subscribe`].
     repl: crate::repl::PrimaryState,
@@ -100,9 +100,15 @@ impl ShieldStore {
         storage: Arc<dyn StorageFs>,
     ) -> Result<Self> {
         let shard_cfg = ShardConfig::from_config(&config);
+        let registry = Arc::new(TenantRegistry::new());
         let mut shards = Vec::with_capacity(config.shards);
         for _ in 0..config.shards {
-            let mut shard = Shard::new(Arc::clone(&enclave), Arc::clone(&keys), shard_cfg.clone())?;
+            let mut shard = Shard::new(
+                Arc::clone(&enclave),
+                Arc::clone(&keys),
+                Arc::clone(&registry),
+                shard_cfg.clone(),
+            )?;
             if config.cache_bytes > 0 {
                 shard.enable_cache(config.cache_bytes / config.shards);
             }
@@ -114,7 +120,7 @@ impl ShieldStore {
             config,
             shards,
             wal: OnceLock::new(),
-            registry: TenantRegistry::new(),
+            registry,
             repl: crate::repl::PrimaryState::default(),
             storage,
             scrub: Mutex::new(crate::scrub::ScrubState::default()),
@@ -248,7 +254,7 @@ impl ShieldStore {
         match op {
             WalOp::Set { tenant, key, value, expires_at } => self
                 .with_shard(self.shard_of(&key), |s| {
-                    s.set_t(tenant, &key, &value, expires_at, None)
+                    s.replay_set_t(tenant, &key, &value, expires_at)
                 }),
             // A delete can replay against a store that never held the
             // key (or already lost it): that is the idempotent outcome,
@@ -332,6 +338,13 @@ impl ShieldStore {
         &self.registry
     }
 
+    /// How many times the tenant keyring lock has been taken: once per
+    /// tenant per shard that serves it, plus restore and snapshot-merge
+    /// passes. Steady-state ops by known tenants take it zero times.
+    pub fn keyring_lock_acquisitions(&self) -> u64 {
+        self.keys.keyring_lock_acquisitions()
+    }
+
     /// Retrieves the value stored under `key` (tenant 0).
     pub fn get(&self, key: &[u8]) -> Result<Vec<u8>> {
         self.get_t(DEFAULT_TENANT, key)
@@ -339,8 +352,7 @@ impl ShieldStore {
 
     /// Retrieves the value stored under `key` in `tenant`'s namespace.
     pub fn get_t(&self, tenant: TenantId, key: &[u8]) -> Result<Vec<u8>> {
-        let state = self.registry.state(tenant);
-        self.with_shard(self.shard_of(key), |s| s.get_t(tenant, key, Some(&state)))
+        self.with_shard(self.shard_of(key), |s| s.get_t(tenant, key))
     }
 
     /// Stores `value` under `key` (tenant 0, no expiry).
@@ -371,9 +383,8 @@ impl ShieldStore {
         value: &[u8],
         expires_at: u64,
     ) -> Result<()> {
-        let state = self.registry.state(tenant);
         self.with_shard(self.shard_of(key), |s| {
-            s.set_t(tenant, key, value, expires_at, Some(&state))?;
+            s.set_t(tenant, key, value, expires_at)?;
             self.log_wal(|| WalOp::Set {
                 tenant,
                 key: key.to_vec(),
@@ -390,9 +401,8 @@ impl ShieldStore {
 
     /// Removes `key` from `tenant`'s namespace.
     pub fn delete_t(&self, tenant: TenantId, key: &[u8]) -> Result<()> {
-        let state = self.registry.state(tenant);
         self.with_shard(self.shard_of(key), |s| {
-            s.delete_t(tenant, key, Some(&state))?;
+            s.delete_t(tenant, key)?;
             self.log_wal(|| WalOp::Delete { tenant, key: key.to_vec() })
         })
     }
@@ -407,9 +417,8 @@ impl ShieldStore {
     /// Tenant-scoped [`ShieldStore::append`]. Clears any expiry deadline
     /// (the logged produced value must replay deadline-free).
     pub fn append_t(&self, tenant: TenantId, key: &[u8], suffix: &[u8]) -> Result<usize> {
-        let state = self.registry.state(tenant);
         self.with_shard(self.shard_of(key), |s| {
-            let value = s.append_value_t(tenant, key, suffix, Some(&state))?;
+            let value = s.append_value_t(tenant, key, suffix)?;
             let len = value.len();
             self.log_wal(|| WalOp::Set { tenant, key: key.to_vec(), value, expires_at: 0 })?;
             Ok(len)
@@ -426,9 +435,8 @@ impl ShieldStore {
     /// Tenant-scoped [`ShieldStore::increment`]; clears any expiry
     /// deadline like [`ShieldStore::append_t`].
     pub fn increment_t(&self, tenant: TenantId, key: &[u8], delta: i64) -> Result<i64> {
-        let state = self.registry.state(tenant);
         self.with_shard(self.shard_of(key), |s| {
-            let next = s.increment_t(tenant, key, delta, Some(&state))?;
+            let next = s.increment_t(tenant, key, delta)?;
             self.log_wal(|| WalOp::Set {
                 tenant,
                 key: key.to_vec(),
@@ -447,8 +455,7 @@ impl ShieldStore {
     /// True when `key` exists in `tenant`'s namespace (an expired entry
     /// reads as absent).
     pub fn exists_t(&self, tenant: TenantId, key: &[u8]) -> Result<bool> {
-        let state = self.registry.state(tenant);
-        self.with_shard(self.shard_of(key), |s| s.exists_t(tenant, key, Some(&state)))
+        self.with_shard(self.shard_of(key), |s| s.exists_t(tenant, key))
     }
 
     /// Physically removes expired entries across all shards, logging
@@ -461,7 +468,7 @@ impl ShieldStore {
         let mut total = 0;
         for shard in &self.shards {
             let mut shard = shard.lock();
-            let reaped = shard.sweep_expired(now, &self.registry);
+            let reaped = shard.sweep_expired(now);
             if reaped.is_empty() {
                 continue;
             }
@@ -500,7 +507,6 @@ impl ShieldStore {
 
     /// Tenant-scoped [`ShieldStore::multi_get`].
     pub fn multi_get_t(&self, tenant: TenantId, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        let state = self.registry.state(tenant);
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, key) in keys.iter().enumerate() {
             groups[self.shard_of(key)].push(i);
@@ -511,8 +517,7 @@ impl ShieldStore {
                 continue;
             }
             let batch: Vec<&[u8]> = group.iter().map(|&i| keys[i]).collect();
-            let shard_results =
-                self.with_shard(shard_idx, |s| s.multi_get_t(tenant, &batch, Some(&state)))?;
+            let shard_results = self.with_shard(shard_idx, |s| s.multi_get_t(tenant, &batch))?;
             for (&slot, value) in group.iter().zip(shard_results) {
                 results[slot] = value;
             }
@@ -537,7 +542,6 @@ impl ShieldStore {
         items: &[(&[u8], &[u8])],
         expires_at: u64,
     ) -> Result<()> {
-        let state = self.registry.state(tenant);
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, (key, _)) in items.iter().enumerate() {
             groups[self.shard_of(key)].push(i);
@@ -548,7 +552,7 @@ impl ShieldStore {
             }
             let batch: Vec<(&[u8], &[u8])> = group.iter().map(|&i| items[i]).collect();
             self.with_shard(shard_idx, |s| -> Result<()> {
-                s.multi_set_t(tenant, &batch, expires_at, Some(&state))?;
+                s.multi_set_t(tenant, &batch, expires_at)?;
                 match self.wal.get() {
                     Some(wal) => wal.log(batch.iter().map(|&(k, v)| WalOp::Set {
                         tenant,
@@ -675,8 +679,11 @@ impl ShieldStore {
     /// is bounded by ops that land between lock acquisitions.
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut snap = StatsSnapshot { shards: self.shards.len() as u64, ..Default::default() };
+        let mut tallies = std::collections::HashMap::new();
         for shard in &self.shards {
-            shard.lock().contribute_snapshot(&mut snap);
+            let shard = shard.lock();
+            shard.contribute_snapshot(&mut snap);
+            shard.add_tenant_tallies(&mut tallies);
         }
         if let Some(wal) = self.wal.get() {
             // One lock acquisition, so `wal_group.count() == wal_records`
@@ -699,19 +706,28 @@ impl ShieldStore {
         snap.crypto_bytes = shield_crypto::stats::crypto_bytes();
         snap.crypto_ops = shield_crypto::stats::crypto_ops();
         snap.crypto_backend = shield_crypto::stats::backend_code();
-        self.fill_tenant_stats(&mut snap);
+        self.fill_tenant_stats(&mut snap, &tallies);
         snap.sim = self.enclave.stats().snapshot();
         snap
     }
 
-    /// Fills the snapshot's fixed-width per-tenant block. When more
-    /// tenants exist than rows, the busiest (by op count) win and
-    /// `tenant_count` still reports the true total.
-    fn fill_tenant_stats(&self, snap: &mut StatsSnapshot) {
+    /// Fills the snapshot's fixed-width per-tenant block from the
+    /// registry and the shards' summed op `tallies`. When more tenants
+    /// exist than rows, the busiest (by op count) win and `tenant_count`
+    /// still reports the true total.
+    fn fill_tenant_stats(
+        &self,
+        snap: &mut StatsSnapshot,
+        tallies: &std::collections::HashMap<TenantId, TenantTally>,
+    ) {
         let all = self.registry.all();
         snap.tenant_count = all.len() as u64;
-        let mut rows: Vec<TenantStat> =
-            all.iter().map(|(tenant, state)| tenant_stat_row(*tenant, state)).collect();
+        let mut rows: Vec<TenantStat> = all
+            .iter()
+            .map(|(tenant, state)| {
+                tenant_stat_row(*tenant, state, &tallies.get(tenant).copied().unwrap_or_default())
+            })
+            .collect();
         if rows.len() > MAX_TENANT_STATS {
             rows.sort_by_key(|r| std::cmp::Reverse(r.gets + r.sets));
         }
@@ -759,22 +775,22 @@ impl ShieldStore {
     }
 }
 
-/// Materializes one [`TenantStat`] row from a tenant's live state.
-fn tenant_stat_row(tenant: TenantId, state: &TenantState) -> TenantStat {
+/// Materializes one [`TenantStat`] row from a tenant's live state and
+/// its op tallies summed across shards.
+fn tenant_stat_row(tenant: TenantId, state: &TenantState, tally: &TenantTally) -> TenantStat {
     use std::sync::atomic::Ordering::SeqCst;
-    let u = &state.usage;
     TenantStat {
         tenant,
         weight: state.quota.weight.max(1),
-        used_bytes: u.used_bytes.load(SeqCst),
-        used_keys: u.used_keys.load(SeqCst),
-        gets: u.gets.load(SeqCst),
-        sets: u.sets.load(SeqCst),
-        hits: u.hits.load(SeqCst),
-        misses: u.misses.load(SeqCst),
-        quota_rejections: u.quota_rejections.load(SeqCst),
-        expired_lazy: u.expired_lazy.load(SeqCst),
-        expired_swept: u.expired_swept.load(SeqCst),
+        used_bytes: state.usage.used_bytes.load(SeqCst),
+        used_keys: state.usage.used_keys.load(SeqCst),
+        gets: tally.gets,
+        sets: tally.sets,
+        hits: tally.hits,
+        misses: tally.misses,
+        quota_rejections: tally.quota_rejections,
+        expired_lazy: tally.expired_lazy,
+        expired_swept: tally.expired_swept,
         shed: 0,
     }
 }

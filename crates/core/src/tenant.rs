@@ -24,12 +24,21 @@
 //! Tenant `0` is the default namespace; the untenanted store API is
 //! sugar for tenant 0, which keeps single-tenant deployments (and the
 //! pre-tenancy test corpus) working unchanged.
+//!
+//! On the per-op path a shard reaches its tenants through a shard-local
+//! `TenantSlot` (derived keys, quota state and op tallies) looked up
+//! under the shard lock it already holds; the registry is consulted
+//! again only when [`TenantRegistry::configure`] has bumped its
+//! generation. The only store-wide words an op may write are the usage
+//! counters, because quotas are store-wide, and only when the charge is
+//! non-zero.
 
+use parking_lot::{Mutex, MutexGuard};
 use shield_crypto::cmac::Cmac;
 use shield_crypto::ctr::AesCtr;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A tenant identifier. Tenant 0 is the default namespace.
 pub type TenantId = u32;
@@ -43,6 +52,7 @@ const KDF_ENC_LABEL: &[u8] = b"shieldstore-tenant-enc-v1";
 const KDF_MAC_LABEL: &[u8] = b"shieldstore-tenant-mac-v1";
 
 /// A tenant's derived data keys.
+#[derive(Clone)]
 pub struct TenantKeys {
     /// AES-CTR cipher for this tenant's entry key/value encryption.
     pub enc: AesCtr,
@@ -110,28 +120,122 @@ impl Default for TenantQuota {
     }
 }
 
-/// Live resource accounting and op counters for one tenant. Counters are
-/// atomics so shards can account without taking the registry lock.
+/// Live store-wide resource accounting for one tenant. The counters are
+/// atomics so shards can charge without taking the registry lock; a
+/// quota is store-wide, so these are the only tenant words that shards
+/// share. Per-op tallies live in each shard's `TenantSlot`.
 #[derive(Debug, Default)]
 pub struct TenantUsage {
     /// Stored bytes (physical entries, including expired-not-yet-swept).
     pub used_bytes: AtomicU64,
     /// Live keys (physical entries, including expired-not-yet-swept).
     pub used_keys: AtomicU64,
+}
+
+/// One tenant's op counts. Each shard keeps its own in its
+/// `TenantSlot`; the store sums them when a snapshot is taken.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct TenantTally {
     /// Reads served for this tenant.
-    pub gets: AtomicU64,
+    pub gets: u64,
     /// Writes served for this tenant.
-    pub sets: AtomicU64,
+    pub sets: u64,
     /// Read hits.
-    pub hits: AtomicU64,
+    pub hits: u64,
     /// Read misses (including lazily-expired reads).
-    pub misses: AtomicU64,
+    pub misses: u64,
     /// Writes rejected by quota.
-    pub quota_rejections: AtomicU64,
+    pub quota_rejections: u64,
     /// Reads that found an expired entry and hid it.
-    pub expired_lazy: AtomicU64,
+    pub expired_lazy: u64,
     /// Entries physically removed by the expiry sweep.
+    pub expired_swept: u64,
+}
+
+impl TenantTally {
+    /// Adds `other`'s counts to these.
+    pub fn merge(&mut self, other: &TenantTally) {
+        self.gets += other.gets;
+        self.sets += other.sets;
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.quota_rejections += other.quota_rejections;
+        self.expired_lazy += other.expired_lazy;
+        self.expired_swept += other.expired_swept;
+    }
+}
+
+/// The cells behind a shard's [`TenantTally`]. Only the thread holding
+/// the shard lock writes them, with a plain load and store, so they need
+/// no read-modify-write; they are atomics only so the slot can be shared
+/// with the op in flight.
+#[derive(Debug, Default)]
+pub(crate) struct TallyCells {
+    pub gets: AtomicU64,
+    pub sets: AtomicU64,
+    pub hits: AtomicU64,
+    pub misses: AtomicU64,
+    pub quota_rejections: AtomicU64,
+    pub expired_lazy: AtomicU64,
     pub expired_swept: AtomicU64,
+}
+
+impl TallyCells {
+    /// Adds `n` to `cell`. Callers hold the owning shard's lock.
+    #[inline]
+    pub fn add(cell: &AtomicU64, n: u64) {
+        cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
+
+    /// The current counts.
+    pub fn get(&self) -> TenantTally {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        TenantTally {
+            gets: load(&self.gets),
+            sets: load(&self.sets),
+            hits: load(&self.hits),
+            misses: load(&self.misses),
+            quota_rejections: load(&self.quota_rejections),
+            expired_lazy: load(&self.expired_lazy),
+            expired_swept: load(&self.expired_swept),
+        }
+    }
+
+    fn from_tally(t: TenantTally) -> Self {
+        Self {
+            gets: AtomicU64::new(t.gets),
+            sets: AtomicU64::new(t.sets),
+            hits: AtomicU64::new(t.hits),
+            misses: AtomicU64::new(t.misses),
+            quota_rejections: AtomicU64::new(t.quota_rejections),
+            expired_lazy: AtomicU64::new(t.expired_lazy),
+            expired_swept: AtomicU64::new(t.expired_swept),
+        }
+    }
+}
+
+/// A shard's view of one tenant: its own copy of the tenant's derived
+/// keys, the registry state (quota and store-wide usage) as of
+/// `generation`, and this shard's op tallies for the tenant.
+pub(crate) struct TenantSlot {
+    pub keys: TenantKeys,
+    pub state: Arc<TenantState>,
+    pub generation: u64,
+    pub tally: TallyCells,
+}
+
+impl TenantSlot {
+    /// A slot for a tenant this shard has not served before.
+    pub fn new(keys: TenantKeys, state: Arc<TenantState>, generation: u64) -> Self {
+        Self { keys, state, generation, tally: TallyCells::default() }
+    }
+
+    /// The same slot re-pointed at `state`, read at `generation`; keys
+    /// and tallies carry over.
+    pub fn refreshed(&self, state: Arc<TenantState>, generation: u64) -> Self {
+        let tally = TallyCells::from_tally(self.tally.get());
+        Self { keys: self.keys.clone(), state, generation, tally }
+    }
 }
 
 /// One registered tenant: quota plus usage.
@@ -180,16 +284,19 @@ impl TenantUsage {
             .is_ok()
     }
 
-    /// Releases `bytes` and `keys` (delete / shrink / sweep).
+    /// Releases `bytes` and `keys` (delete / shrink / sweep). A zero
+    /// amount writes nothing, so a same-size update leaves the shared
+    /// counters untouched.
     pub fn discharge(&self, bytes: u64, keys: u64) {
         // Saturating: recounts can race with in-flight ops; usage must
         // never wrap to a huge value and wedge the tenant.
-        let _ = self
-            .used_bytes
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| Some(b.saturating_sub(bytes)));
-        let _ = self
-            .used_keys
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |k| Some(k.saturating_sub(keys)));
+        for (counter, amount) in [(&self.used_bytes, bytes), (&self.used_keys, keys)] {
+            if amount > 0 {
+                let _ = counter.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
+                    Some(v.saturating_sub(amount))
+                });
+            }
+        }
     }
 }
 
@@ -199,6 +306,11 @@ impl TenantUsage {
 #[derive(Debug, Default)]
 pub struct TenantRegistry {
     tenants: Mutex<HashMap<TenantId, Arc<TenantState>>>,
+    /// Bumped by every [`TenantRegistry::configure`], so shard slots
+    /// know to re-read a tenant's state.
+    generation: AtomicU64,
+    /// Acquisitions of the `tenants` lock.
+    lock_acquisitions: AtomicU64,
 }
 
 impl TenantRegistry {
@@ -209,28 +321,40 @@ impl TenantRegistry {
         Self::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, HashMap<TenantId, Arc<TenantState>>> {
+        let map = self.tenants.lock();
+        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+        map
+    }
+
+    /// How many times the registry lock has been taken. Shards take it
+    /// only to build or refresh a tenant slot, so a steady stream of ops
+    /// by known tenants leaves this unchanged.
+    pub fn lock_acquisitions(&self) -> u64 {
+        self.lock_acquisitions.load(Ordering::Relaxed)
+    }
+
+    /// The configuration generation: changes whenever
+    /// [`TenantRegistry::configure`] runs.
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
     /// Sets (or replaces) `tenant`'s quota and weight. Existing usage is
     /// preserved, so tightening a quota mid-flight takes effect on the
-    /// next charge.
+    /// next op: the generation bump makes every shard re-read the state.
     pub fn configure(&self, tenant: TenantId, quota: TenantQuota) {
-        let mut map = self.tenants.lock().expect("tenant registry poisoned");
-        match map.get(&tenant) {
-            Some(state) => {
-                let usage = Arc::clone(&state.usage);
-                map.insert(tenant, Arc::new(TenantState { quota, usage }));
-            }
-            None => {
-                map.insert(
-                    tenant,
-                    Arc::new(TenantState { quota, usage: Arc::new(TenantUsage::default()) }),
-                );
-            }
-        }
+        let mut map = self.lock();
+        let usage = map.get(&tenant).map(|state| Arc::clone(&state.usage)).unwrap_or_default();
+        map.insert(tenant, Arc::new(TenantState { quota, usage }));
+        // Under the lock, so a shard that sees the new generation and
+        // re-reads the state gets the new quota.
+        self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
     /// The state for `tenant`, materializing a default entry on first use.
     pub fn state(&self, tenant: TenantId) -> Arc<TenantState> {
-        let mut map = self.tenants.lock().expect("tenant registry poisoned");
+        let mut map = self.lock();
         Arc::clone(map.entry(tenant).or_insert_with(|| {
             Arc::new(TenantState {
                 quota: TenantQuota::default(),
@@ -241,17 +365,12 @@ impl TenantRegistry {
 
     /// The admission weight of `tenant` (default 1 when unregistered).
     pub fn weight(&self, tenant: TenantId) -> u32 {
-        self.tenants
-            .lock()
-            .expect("tenant registry poisoned")
-            .get(&tenant)
-            .map(|s| s.quota.weight.max(1))
-            .unwrap_or(1)
+        self.lock().get(&tenant).map(|s| s.quota.weight.max(1)).unwrap_or(1)
     }
 
     /// Snapshot of all registered tenants, sorted by id.
     pub fn all(&self) -> Vec<(TenantId, Arc<TenantState>)> {
-        let map = self.tenants.lock().expect("tenant registry poisoned");
+        let map = self.lock();
         let mut out: Vec<_> = map.iter().map(|(id, s)| (*id, Arc::clone(s))).collect();
         out.sort_by_key(|(id, _)| *id);
         out
@@ -262,7 +381,7 @@ impl TenantRegistry {
     /// Called after snapshot restore / temp-table merges, when
     /// incremental accounting may have drifted from the physical truth.
     pub fn set_usage(&self, counts: &HashMap<TenantId, (u64, u64)>) {
-        let mut map = self.tenants.lock().expect("tenant registry poisoned");
+        let mut map = self.lock();
         for (id, (bytes, keys)) in counts {
             let state = map.entry(*id).or_insert_with(|| {
                 Arc::new(TenantState {

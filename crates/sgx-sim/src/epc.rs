@@ -17,52 +17,97 @@
 use crate::cost::CostModel;
 use crate::stats::SimStats;
 use crate::vclock;
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use parking_lot::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One resident-set slot.
-#[derive(Debug, Clone, Copy)]
+/// One resident-set slot. The page and its CLOCK bits are atomics so a
+/// hit can be served without the state lock; only faults (under the
+/// lock) change which page a slot holds.
+#[derive(Debug)]
 struct Slot {
-    page: u64,
-    referenced: bool,
-    dirty: bool,
+    page: AtomicU64,
+    referenced: AtomicBool,
+    dirty: AtomicBool,
+}
+
+impl Slot {
+    /// Marks the slot's page accessed. Each bit is stored only when it is
+    /// clear, so repeated hits on a hot page write nothing.
+    #[inline]
+    fn mark(&self, write: bool) {
+        if !self.referenced.load(Ordering::Relaxed) {
+            self.referenced.store(true, Ordering::Relaxed);
+        }
+        if write && !self.dirty.load(Ordering::Relaxed) {
+            self.dirty.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 #[derive(Debug)]
 struct EpcState {
-    /// page number -> slot index.
-    resident: HashMap<u64, usize>,
-    slots: Vec<Slot>,
+    /// Slots holding a page. Slots fill in index order and, once all are
+    /// used, stay full: a fault then replaces a victim in place.
+    used: usize,
     clock_hand: usize,
     /// Virtual-time end of the last fault service; faults queue behind it.
     fault_channel_busy_until: u64,
 }
 
 /// The EPC resident-set model shared by all threads of one enclave.
+///
+/// Hits are resolved without a lock, as SGX hardware resolves them: a
+/// page → slot table is probed with atomic loads and the slot's page is
+/// checked. Faults and evictions take the state lock and run the CLOCK
+/// sweep exactly as a serial model would, so for any single-threaded
+/// touch sequence the fault, eviction and writeback sequence does not
+/// depend on the lock-free path. A concurrent probe can miss a page that
+/// a fault is moving within the table; it then falls back to the lock
+/// and finds it there, so every touch counts once, as a hit or a fault.
 #[derive(Debug)]
 pub struct Epc {
     budget_pages: usize,
     cost: CostModel,
+    slots: Box<[Slot]>,
+    /// Open-addressed page → slot table with linear probing: `0` is an
+    /// empty entry, otherwise the entry is slot index + 1. Written only
+    /// under `state`, read without it. At least twice the budget in
+    /// size, so a probe always ends at an empty entry.
+    table: Box<[AtomicU32]>,
     state: Mutex<EpcState>,
+    /// Acquisitions of `state`: faults, and the diagnostic accessors.
+    lock_acquisitions: AtomicU64,
     stats: Arc<SimStats>,
 }
+
+/// Page number of an empty slot (no real page number reaches it).
+const NO_PAGE: u64 = u64::MAX;
 
 impl Epc {
     /// Creates an EPC with room for `budget_pages` resident pages.
     ///
     /// A budget of zero disables paging entirely (every access is treated
-    /// as a hit), which models the `NoSGX` configuration.
+    /// as a hit), which models the `NoSGX` configuration. The resident
+    /// set's bookkeeping is allocated up front: 24 to 32 bytes per page
+    /// of budget.
     pub fn new(budget_pages: usize, cost: CostModel, stats: Arc<SimStats>) -> Self {
+        assert!(budget_pages < u32::MAX as usize / 2, "EPC budget exceeds the slot table");
+        let slots = (0..budget_pages)
+            .map(|_| Slot {
+                page: AtomicU64::new(NO_PAGE),
+                referenced: AtomicBool::new(false),
+                dirty: AtomicBool::new(false),
+            })
+            .collect();
+        let table_len = if budget_pages == 0 { 0 } else { (2 * budget_pages).next_power_of_two() };
         Self {
             budget_pages,
             cost,
-            state: Mutex::new(EpcState {
-                resident: HashMap::new(),
-                slots: Vec::new(),
-                clock_hand: 0,
-                fault_channel_busy_until: 0,
-            }),
+            slots,
+            table: (0..table_len).map(|_| AtomicU32::new(0)).collect(),
+            state: Mutex::new(EpcState { used: 0, clock_hand: 0, fault_channel_busy_until: 0 }),
+            lock_acquisitions: AtomicU64::new(0),
             stats,
         }
     }
@@ -72,19 +117,113 @@ impl Epc {
         self.budget_pages
     }
 
+    /// How many times the resident-set state lock has been taken. A
+    /// touch takes it only to service a fault, so a workload whose pages
+    /// are all resident leaves this unchanged.
+    pub fn lock_acquisitions(&self) -> u64 {
+        self.lock_acquisitions.load(Ordering::Relaxed)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, EpcState> {
+        let st = self.state.lock();
+        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+        st
+    }
+
+    /// Home position of `page` in the table (Fibonacci hashing).
+    #[inline]
+    fn home(&self, page: u64) -> usize {
+        (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & (self.table.len() - 1)
+    }
+
+    /// Finds the slot holding `page`, or `None`. Exact under the lock;
+    /// without it, a page being moved by a concurrent fault may be
+    /// missed (never misreported: the slot's own page is checked).
+    #[inline]
+    fn find(&self, page: u64) -> Option<usize> {
+        let mask = self.table.len() - 1;
+        let mut i = self.home(page);
+        for _ in 0..self.table.len() {
+            let entry = self.table[i].load(Ordering::Acquire);
+            if entry == 0 {
+                return None;
+            }
+            let slot = entry as usize - 1;
+            if self.slots[slot].page.load(Ordering::Acquire) == page {
+                return Some(slot);
+            }
+            i = (i + 1) & mask;
+        }
+        None
+    }
+
+    /// Enters `page → slot` in the table. Caller holds the lock and
+    /// `page` is not in the table.
+    fn index(&self, page: u64, slot: usize) {
+        let mask = self.table.len() - 1;
+        let mut i = self.home(page);
+        while self.table[i].load(Ordering::Relaxed) != 0 {
+            i = (i + 1) & mask;
+        }
+        self.table[i].store(slot as u32 + 1, Ordering::Release);
+    }
+
+    /// Removes `page`'s entry with backward-shift deletion (no
+    /// tombstones). Caller holds the lock and `page` is in the table.
+    fn unindex(&self, page: u64) {
+        let mask = self.table.len() - 1;
+        let mut hole = self.home(page);
+        while self.slot_page(hole) != Some(page) {
+            hole = (hole + 1) & mask;
+        }
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let entry = self.table[j].load(Ordering::Relaxed);
+            let Some(moved) = self.slot_page(j) else { break };
+            // The entry at `j` may fill the hole unless its home lies
+            // cyclically in `(hole, j]`.
+            let home = self.home(moved);
+            if (j.wrapping_sub(home) & mask) < (j.wrapping_sub(hole) & mask) {
+                continue;
+            }
+            self.table[hole].store(entry, Ordering::Release);
+            hole = j;
+        }
+        self.table[hole].store(0, Ordering::Release);
+    }
+
+    /// The page held by the slot that table entry `i` names.
+    fn slot_page(&self, i: usize) -> Option<u64> {
+        match self.table[i].load(Ordering::Relaxed) {
+            0 => None,
+            entry => Some(self.slots[entry as usize - 1].page.load(Ordering::Relaxed)),
+        }
+    }
+
     /// Touches `page` (a virtual page number), faulting it in if needed.
     ///
     /// `write` marks the page dirty, making its later eviction charge the
     /// EWB writeback surcharge.
+    #[inline]
     pub fn touch(&self, page: u64, write: bool) {
         if self.budget_pages == 0 {
             return;
         }
-        let mut st = self.state.lock();
-        if let Some(&slot) = st.resident.get(&page) {
-            st.slots[slot].referenced = true;
-            st.slots[slot].dirty |= write;
-            SimStats::bump(&self.stats.epc_hits);
+        if let Some(slot) = self.find(page) {
+            self.slots[slot].mark(write);
+            self.stats.epc_hits.add(1);
+            return;
+        }
+        self.touch_locked(page, write);
+    }
+
+    /// The fault path: re-checks residency under the lock, then faults.
+    fn touch_locked(&self, page: u64, write: bool) {
+        let mut st = self.lock();
+        if let Some(slot) = self.find(page) {
+            self.slots[slot].mark(write);
+            self.stats.epc_hits.add(1);
             return;
         }
 
@@ -93,30 +232,37 @@ impl Epc {
         let mut service_ns = self.cost.fault_ns();
 
         // Evict a victim with CLOCK if the resident set is full.
-        if st.slots.len() >= self.budget_pages {
+        let slot = if st.used >= self.budget_pages {
+            // Lock-free hits may set reference bits behind the hand; after
+            // two full sweeps the hand takes its slot regardless, so the
+            // sweep ends. A serial sweep always ends within one.
+            let mut steps = 0;
             loop {
                 let hand = st.clock_hand;
-                st.clock_hand = (hand + 1) % st.slots.len();
-                if st.slots[hand].referenced {
-                    st.slots[hand].referenced = false;
+                st.clock_hand = (hand + 1) % st.used;
+                let victim = &self.slots[hand];
+                if victim.referenced.load(Ordering::Relaxed) && steps < 2 * st.used {
+                    victim.referenced.store(false, Ordering::Relaxed);
+                    steps += 1;
                     continue;
                 }
-                let victim = st.slots[hand];
-                st.resident.remove(&victim.page);
+                self.unindex(victim.page.load(Ordering::Relaxed));
                 SimStats::bump(&self.stats.epc_evictions);
-                if victim.dirty {
+                if victim.dirty.load(Ordering::Relaxed) {
                     SimStats::bump(&self.stats.epc_writebacks);
                     service_ns += self.cost.writeback_ns();
                 }
-                st.slots[hand] = Slot { page, referenced: true, dirty: write };
-                st.resident.insert(page, hand);
-                break;
+                break hand;
             }
         } else {
-            let slot = st.slots.len();
-            st.slots.push(Slot { page, referenced: true, dirty: write });
-            st.resident.insert(page, slot);
-        }
+            st.used += 1;
+            st.used - 1
+        };
+        let fresh = &self.slots[slot];
+        fresh.referenced.store(true, Ordering::Relaxed);
+        fresh.dirty.store(write, Ordering::Relaxed);
+        fresh.page.store(page, Ordering::Release);
+        self.index(page, slot);
 
         let now = vclock::now();
         let start = now.max(st.fault_channel_busy_until);
@@ -153,12 +299,13 @@ impl Epc {
 
     /// Number of currently resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.state.lock().resident.len()
+        self.lock().used
     }
 
     /// Returns true if `page` is resident (test/diagnostic helper).
     pub fn is_resident(&self, page: u64) -> bool {
-        self.state.lock().resident.contains_key(&page)
+        let _st = self.lock();
+        self.budget_pages > 0 && self.find(page).is_some()
     }
 
     /// Resets the fault-serialization channel's virtual timestamp.
@@ -170,14 +317,21 @@ impl Epc {
     /// this at the start of every measured run. The resident set is
     /// deliberately left warm.
     pub fn reset_fault_channel(&self) {
-        self.state.lock().fault_channel_busy_until = 0;
+        self.lock().fault_channel_busy_until = 0;
     }
 
     /// Drops every resident page (e.g. simulated enclave teardown).
     pub fn flush(&self) {
-        let mut st = self.state.lock();
-        st.resident.clear();
-        st.slots.clear();
+        let mut st = self.lock();
+        for entry in self.table.iter() {
+            entry.store(0, Ordering::Release);
+        }
+        for slot in &self.slots[..st.used] {
+            slot.page.store(NO_PAGE, Ordering::Release);
+            slot.referenced.store(false, Ordering::Relaxed);
+            slot.dirty.store(false, Ordering::Relaxed);
+        }
+        st.used = 0;
         st.clock_hand = 0;
     }
 

@@ -14,8 +14,8 @@
 
 use crate::epc::Epc;
 use crate::SimError;
-use parking_lot::{Mutex, RwLock};
-use std::sync::Arc;
+use parking_lot::Mutex;
+use std::sync::{Arc, OnceLock};
 
 /// Default chunk size: 4 MiB.
 pub const DEFAULT_CHUNK_SIZE: usize = 4 << 20;
@@ -23,7 +23,51 @@ pub const DEFAULT_CHUNK_SIZE: usize = 4 << 20;
 /// Minimum allocation granule.
 const MIN_CLASS: usize = 16;
 
-type Chunk = Arc<Mutex<Box<[u8]>>>;
+/// One backing chunk. Its length is fixed when it is created, so bounds
+/// checks need no lock; the bytes are locked once per access.
+struct Chunk {
+    len: usize,
+    data: Mutex<Box<[u8]>>,
+}
+
+/// Segments of the chunk table: segment `k` holds `2^k` chunks, so 33
+/// segments cover every 32-bit chunk index.
+const SEGMENTS: usize = 33;
+
+/// The append-only chunk table, readable without a lock. Chunk `i` lives
+/// in segment `k = log2(i + 1)` at offset `i + 1 - 2^k`; segments are
+/// allocated on first use and entries are set once, so a reader needs
+/// only two acquire loads to find a chunk.
+struct ChunkTable {
+    segments: [OnceLock<Box<[OnceLock<Chunk>]>>; SEGMENTS],
+}
+
+impl ChunkTable {
+    fn new() -> Self {
+        Self { segments: std::array::from_fn(|_| OnceLock::new()) }
+    }
+
+    fn position(idx: usize) -> (usize, usize) {
+        let k = (usize::BITS - 1 - (idx + 1).leading_zeros()) as usize;
+        (k, idx + 1 - (1 << k))
+    }
+
+    fn get(&self, idx: usize) -> Option<&Chunk> {
+        let (k, offset) = Self::position(idx);
+        self.segments.get(k)?.get()?.get(offset)?.get()
+    }
+
+    /// Publishes chunk `idx`. Callers hand out indices in order under the
+    /// allocator lock, so each index is set exactly once.
+    fn set(&self, idx: usize, data: Box<[u8]>) {
+        let (k, offset) = Self::position(idx);
+        let segment =
+            self.segments[k].get_or_init(|| (0..1usize << k).map(|_| OnceLock::new()).collect());
+        let chunk = Chunk { len: data.len(), data: Mutex::new(data) };
+        let published = segment[offset].set(chunk).is_ok();
+        debug_assert!(published, "chunk index {idx} published twice");
+    }
+}
 
 #[derive(Debug, Default)]
 struct AllocState {
@@ -36,12 +80,25 @@ struct AllocState {
     live_bytes: usize,
     /// Bytes reserved from the chunk allocator.
     reserved_bytes: usize,
+    /// Chunks published to the chunk table.
+    chunks: usize,
+}
+
+impl AllocState {
+    /// Publishes `data` as the next chunk and returns its index.
+    fn push_chunk(&mut self, table: &ChunkTable, data: Box<[u8]>) -> usize {
+        let idx = self.chunks;
+        self.reserved_bytes += data.len();
+        table.set(idx, data);
+        self.chunks += 1;
+        idx
+    }
 }
 
 /// The simulated enclave heap.
 pub struct EnclaveMemory {
     epc: Arc<Epc>,
-    chunks: RwLock<Vec<Chunk>>,
+    chunks: ChunkTable,
     alloc: Mutex<AllocState>,
     chunk_size: usize,
 }
@@ -49,7 +106,7 @@ pub struct EnclaveMemory {
 impl std::fmt::Debug for EnclaveMemory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EnclaveMemory")
-            .field("chunks", &self.chunks.read().len())
+            .field("chunks", &self.alloc.lock().chunks)
             .field("chunk_size", &self.chunk_size)
             .finish()
     }
@@ -79,7 +136,7 @@ impl EnclaveMemory {
         assert!(chunk_size <= u32::MAX as usize + 1, "chunk size exceeds address space");
         Self {
             epc,
-            chunks: RwLock::new(Vec::new()),
+            chunks: ChunkTable::new(),
             alloc: Mutex::new(AllocState::default()),
             chunk_size,
         }
@@ -96,21 +153,16 @@ impl EnclaveMemory {
     /// in-enclave heap without kernel involvement); only data access is.
     pub fn alloc(&self, len: usize) -> Result<u64, SimError> {
         let class = size_class(len);
-        let mut st = self.alloc.lock();
-        st.live_bytes += class;
-
         if class >= self.chunk_size {
-            // Dedicated chunk for jumbo allocations.
-            drop(st);
+            // Dedicated chunk for jumbo allocations, zeroed outside the lock.
             let chunk = vec![0u8; class].into_boxed_slice();
-            let mut chunks = self.chunks.write();
-            let idx = chunks.len();
-            chunks.push(Arc::new(Mutex::new(chunk)));
-            drop(chunks);
             let mut st = self.alloc.lock();
-            st.reserved_bytes += class;
+            st.live_bytes += class;
+            let idx = st.push_chunk(&self.chunks, chunk);
             return Ok(pack(idx, 0));
         }
+        let mut st = self.alloc.lock();
+        st.live_bytes += class;
 
         let class_log = class.trailing_zeros() as usize;
         if st.free_lists.len() <= class_log {
@@ -121,21 +173,16 @@ impl EnclaveMemory {
         }
 
         // Bump-allocate from the current chunk, opening a new one if needed.
-        let need_new = match st.bump_chunk {
-            None => true,
-            Some(_) => st.bump_offset + class > self.chunk_size,
+        let chunk = match st.bump_chunk {
+            Some(idx) if st.bump_offset + class <= self.chunk_size => idx,
+            _ => {
+                let idx =
+                    st.push_chunk(&self.chunks, vec![0u8; self.chunk_size].into_boxed_slice());
+                st.bump_chunk = Some(idx);
+                st.bump_offset = 0;
+                idx
+            }
         };
-        if need_new {
-            let chunk = vec![0u8; self.chunk_size].into_boxed_slice();
-            let mut chunks = self.chunks.write();
-            let idx = chunks.len();
-            chunks.push(Arc::new(Mutex::new(chunk)));
-            drop(chunks);
-            st.bump_chunk = Some(idx);
-            st.bump_offset = 0;
-            st.reserved_bytes += self.chunk_size;
-        }
-        let chunk = st.bump_chunk.expect("bump chunk must exist");
         let offset = st.bump_offset;
         st.bump_offset += class;
         Ok(pack(chunk, offset))
@@ -158,18 +205,12 @@ impl EnclaveMemory {
         st.free_lists[class_log].push(addr);
     }
 
-    fn chunk(&self, idx: usize) -> Option<Chunk> {
-        self.chunks.read().get(idx).cloned()
-    }
-
-    fn check(&self, addr: u64, len: usize) -> Result<(Chunk, usize), SimError> {
+    fn check(&self, addr: u64, len: usize) -> Result<(&Chunk, usize), SimError> {
         let (chunk_idx, offset) = unpack(addr);
-        let chunk = self.chunk(chunk_idx).ok_or(SimError::BadAddress { addr, len })?;
-        let chunk_len = chunk.lock().len();
-        if offset + len > chunk_len {
-            return Err(SimError::BadAddress { addr, len });
+        match self.chunks.get(chunk_idx) {
+            Some(chunk) if offset + len <= chunk.len => Ok((chunk, offset)),
+            _ => Err(SimError::BadAddress { addr, len }),
         }
-        Ok((chunk, offset))
     }
 
     /// Reads `buf.len()` bytes from `addr`, metering the access.
@@ -187,7 +228,7 @@ impl EnclaveMemory {
         let (chunk, offset) = self.check(addr, buf.len())?;
         self.epc.touch_range(addr, buf.len(), false);
         self.epc.charge_mee(addr, buf.len());
-        let data = chunk.lock();
+        let data = chunk.data.lock();
         buf.copy_from_slice(&data[offset..offset + buf.len()]);
         Ok(())
     }
@@ -207,7 +248,7 @@ impl EnclaveMemory {
         let (chunk, offset) = self.check(addr, data.len())?;
         self.epc.touch_range(addr, data.len(), true);
         self.epc.charge_mee(addr, data.len());
-        let mut dst = chunk.lock();
+        let mut dst = chunk.data.lock();
         dst[offset..offset + data.len()].copy_from_slice(data);
         Ok(())
     }

@@ -1,11 +1,16 @@
 //! Simulation counters.
 
+use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 /// Shared event counters for one simulated enclave.
 ///
 /// All counters use relaxed atomics: they are statistics, not
-/// synchronization.
+/// synchronization. Events counted on every metered access (EPC hits)
+/// use a [`ThreadCounter`], so concurrent workers never write a shared
+/// cache line to count them.
 #[derive(Debug, Default)]
 pub struct SimStats {
     /// EPC demand-paging faults (page not resident).
@@ -15,7 +20,7 @@ pub struct SimStats {
     /// Evictions whose victim was dirty (required EWB writeback).
     pub epc_writebacks: AtomicU64,
     /// Resident EPC accesses (hits).
-    pub epc_hits: AtomicU64,
+    pub epc_hits: ThreadCounter,
     /// ECALLs (untrusted -> enclave crossings).
     pub ecalls: AtomicU64,
     /// OCALLs (enclave -> untrusted crossings).
@@ -40,7 +45,7 @@ impl SimStats {
         self.epc_faults.store(0, Ordering::Relaxed);
         self.epc_evictions.store(0, Ordering::Relaxed);
         self.epc_writebacks.store(0, Ordering::Relaxed);
-        self.epc_hits.store(0, Ordering::Relaxed);
+        self.epc_hits.reset();
         self.ecalls.store(0, Ordering::Relaxed);
         self.ocalls.store(0, Ordering::Relaxed);
         self.hotcalls.store(0, Ordering::Relaxed);
@@ -54,7 +59,7 @@ impl SimStats {
             epc_faults: self.epc_faults.load(Ordering::Relaxed),
             epc_evictions: self.epc_evictions.load(Ordering::Relaxed),
             epc_writebacks: self.epc_writebacks.load(Ordering::Relaxed),
-            epc_hits: self.epc_hits.load(Ordering::Relaxed),
+            epc_hits: self.epc_hits.get(),
             ecalls: self.ecalls.load(Ordering::Relaxed),
             ocalls: self.ocalls.load(Ordering::Relaxed),
             hotcalls: self.hotcalls.load(Ordering::Relaxed),
@@ -73,6 +78,105 @@ impl SimStats {
     #[inline]
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// One thread's cell of a [`ThreadCounter`], alone on its cache line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Cell(AtomicU64);
+
+/// The cells of one [`ThreadCounter`]: the live threads' cells plus the
+/// total of threads that have exited.
+#[derive(Debug, Default)]
+struct Cells {
+    live: Vec<Arc<Cell>>,
+    retired: u64,
+}
+
+/// A counter kept in per-thread cells and summed when read.
+///
+/// Each thread that adds to the counter gets its own cache-aligned cell,
+/// which only that thread writes (a plain load and store, no
+/// read-modify-write), so counting from many cores writes no shared
+/// line. Reading sums the live cells and the retired total; a thread's
+/// cell is folded into the retired total when the thread exits, so the
+/// count stays exact and the cell list holds one cell per live thread.
+#[derive(Debug, Default)]
+pub struct ThreadCounter {
+    cells: Arc<Mutex<Cells>>,
+    /// The sum at the last [`ThreadCounter::reset`].
+    base: AtomicU64,
+}
+
+/// The calling thread's cells, one per counter it has added to. Dropped
+/// at thread exit, which retires every cell whose counter still exists.
+#[derive(Default)]
+struct ThreadCells(Vec<(Weak<Mutex<Cells>>, Arc<Cell>)>);
+
+impl Drop for ThreadCells {
+    fn drop(&mut self) {
+        for (owner, cell) in self.0.drain(..) {
+            if let Some(owner) = owner.upgrade() {
+                let mut cells = owner.lock();
+                cells.retired += cell.0.load(Ordering::Relaxed);
+                cells.live.retain(|c| !Arc::ptr_eq(c, &cell));
+            }
+        }
+    }
+}
+
+thread_local! {
+    static THREAD_CELLS: RefCell<ThreadCells> = RefCell::default();
+}
+
+impl ThreadCounter {
+    /// Adds `n` to the calling thread's cell.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        let counted = THREAD_CELLS.try_with(|tc| {
+            let mut tc = tc.borrow_mut();
+            let owner = Arc::as_ptr(&self.cells);
+            match tc.0.iter().find(|(o, _)| o.as_ptr() == owner) {
+                Some((_, cell)) => {
+                    cell.0.store(cell.0.load(Ordering::Relaxed) + n, Ordering::Relaxed)
+                }
+                None => {
+                    // First add from this thread: drop the cells of
+                    // counters that no longer exist, then register.
+                    tc.0.retain(|(o, _)| o.strong_count() > 0);
+                    let cell = Arc::new(Cell(AtomicU64::new(n)));
+                    self.cells.lock().live.push(Arc::clone(&cell));
+                    tc.0.push((Arc::downgrade(&self.cells), cell));
+                }
+            }
+        });
+        if counted.is_err() {
+            // This thread's cells are already retired (its thread-locals
+            // are being destroyed): count straight into the total.
+            self.cells.lock().retired += n;
+        }
+    }
+
+    /// The count since creation or the last [`ThreadCounter::reset`].
+    pub fn get(&self) -> u64 {
+        self.sum().wrapping_sub(self.base.load(Ordering::Relaxed))
+    }
+
+    /// Restarts the count from zero. Concurrent adds are never lost:
+    /// the reset records the current sum as the new base.
+    pub fn reset(&self) {
+        self.base.store(self.sum(), Ordering::Relaxed);
+    }
+
+    /// Threads holding a live cell of this counter.
+    pub fn live_cells(&self) -> usize {
+        self.cells.lock().live.len()
+    }
+
+    fn sum(&self) -> u64 {
+        let cells = self.cells.lock();
+        cells.retired + cells.live.iter().map(|c| c.0.load(Ordering::Relaxed)).sum::<u64>()
     }
 }
 
@@ -121,13 +225,39 @@ mod tests {
         let s = SimStats::new();
         SimStats::bump(&s.epc_faults);
         SimStats::bump(&s.epc_faults);
-        SimStats::bump(&s.epc_hits);
+        s.epc_hits.add(1);
         let snap = s.snapshot();
         assert_eq!(snap.epc_faults, 2);
         assert_eq!(snap.epc_hits, 1);
         assert!((snap.fault_rate() - 2.0 / 3.0).abs() < 1e-12);
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
+    }
+
+    #[test]
+    fn thread_counter_is_exact_across_threads_and_resets() {
+        let c = Arc::new(ThreadCounter::default());
+        c.add(5);
+        let handles: Vec<_> = (0..4u64)
+            .map(|t| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    for _ in 0..1000 {
+                        c.add(t + 1);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(c.get(), 5 + 1000 * (1 + 2 + 3 + 4));
+        // The exited threads' cells were folded away; only ours is live.
+        assert_eq!(c.live_cells(), 1);
+        c.reset();
+        assert_eq!(c.get(), 0);
+        c.add(2);
+        assert_eq!(c.get(), 2);
     }
 
     #[test]

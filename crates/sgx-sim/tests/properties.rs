@@ -37,6 +37,49 @@ proptest! {
         vclock::reset();
     }
 
+    /// Two threads touching overlapping pages under eviction pressure:
+    /// every touch is counted exactly once, as a lock-free hit, a hit
+    /// found under the lock, or a fault, and the resident set never
+    /// exceeds the budget while faults evict behind concurrent hits.
+    #[test]
+    fn concurrent_touches_counted_once(
+        budget in 1usize..24,
+        a in pvec((0u64..48, any::<bool>()), 4000..12000),
+        b in pvec((0u64..48, any::<bool>()), 4000..12000),
+    ) {
+        let stats = Arc::new(SimStats::new());
+        let epc = Arc::new(Epc::new(budget, CostModel::I7_7700, Arc::clone(&stats)));
+        let total = a.len() + b.len();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let handles: Vec<_> = [a, b]
+            .into_iter()
+            .map(|seq| {
+                let epc = Arc::clone(&epc);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    vclock::reset();
+                    start.wait();
+                    let mut bounded = true;
+                    for (page, write) in seq {
+                        epc.touch(page, write);
+                        bounded &= epc.resident_pages() <= budget;
+                    }
+                    vclock::reset();
+                    bounded
+                })
+            })
+            .collect();
+        for h in handles {
+            prop_assert!(h.join().unwrap(), "resident set exceeded the budget");
+        }
+        let snap = stats.snapshot();
+        prop_assert_eq!(snap.epc_faults + snap.epc_hits, total as u64);
+        prop_assert!(snap.epc_evictions <= snap.epc_faults);
+        prop_assert!(epc.resident_pages() <= budget);
+        // The exited threads' hit cells were folded into the total.
+        prop_assert_eq!(stats.epc_hits.live_cells(), 0);
+    }
+
     /// Metered enclave memory is still memory: arbitrary interleavings of
     /// alloc/write/read/free preserve every live allocation's contents.
     #[test]
