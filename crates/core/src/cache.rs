@@ -10,6 +10,7 @@
 //! Eviction is exact LRU via an intrusive doubly-linked list over a slab.
 
 use sgx_sim::enclave::Enclave;
+use sgx_sim::memory::EnclaveMemory;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -19,7 +20,10 @@ const NIL: usize = usize::MAX;
 struct Node {
     key: Vec<u8>,
     addr: u64,
+    /// Value length.
     len: usize,
+    /// Length the allocation at `addr` was made with (what `free` needs).
+    alloc_len: usize,
     prev: usize,
     next: usize,
 }
@@ -113,40 +117,43 @@ impl EnclaveCache {
             return;
         }
         if let Some(&idx) = self.map.get(key) {
-            // Update in place when the new value fits the old allocation
-            // class; otherwise reallocate.
-            let old_len = self.slab[idx].len;
-            if crate::alloc::UntrustedHeap::fits_in_class(old_len, value.len()) {
-                let addr = self.slab[idx].addr;
+            // Update in place when the new value fits the enclave
+            // allocator's class of the existing allocation; otherwise
+            // reallocate. The allocation keeps its original length either
+            // way, so `free` always returns the whole class.
+            let Node { addr, len: old_len, alloc_len, .. } = self.slab[idx];
+            let need = value.len().max(1);
+            if EnclaveMemory::class_len(need) <= EnclaveMemory::class_len(alloc_len) {
                 self.enclave.memory().write(addr, value);
-                self.used_bytes = self.used_bytes - old_len + value.len();
-                self.slab[idx].len = value.len();
             } else {
-                let addr = self.slab[idx].addr;
-                self.enclave.memory().free(addr, old_len);
-                let new_addr = match self.enclave.memory().alloc(value.len().max(1)) {
+                self.enclave.memory().free(addr, alloc_len);
+                let new_addr = match self.enclave.memory().alloc(need) {
                     Ok(a) => a,
                     Err(_) => {
+                        self.slab[idx].alloc_len = 0;
                         self.remove(key);
                         return;
                     }
                 };
                 self.enclave.memory().write(new_addr, value);
-                self.used_bytes = self.used_bytes - old_len + value.len();
                 self.slab[idx].addr = new_addr;
-                self.slab[idx].len = value.len();
+                self.slab[idx].alloc_len = need;
             }
+            self.used_bytes = self.used_bytes - old_len + value.len();
+            self.slab[idx].len = value.len();
             self.detach(idx);
             self.attach_front(idx);
             self.evict_to_budget();
             return;
         }
 
-        let Ok(addr) = self.enclave.memory().alloc(value.len().max(1)) else {
+        let alloc_len = value.len().max(1);
+        let Ok(addr) = self.enclave.memory().alloc(alloc_len) else {
             return;
         };
         self.enclave.memory().write(addr, value);
-        let node = Node { key: key.to_vec(), addr, len: value.len(), prev: NIL, next: NIL };
+        let node =
+            Node { key: key.to_vec(), addr, len: value.len(), alloc_len, prev: NIL, next: NIL };
         let idx = if let Some(slot) = self.free_slots.pop() {
             self.slab[slot] = node;
             slot
@@ -164,11 +171,18 @@ impl EnclaveCache {
     pub fn remove(&mut self, key: &[u8]) {
         if let Some(idx) = self.map.remove(key) {
             self.detach(idx);
-            let node = &self.slab[idx];
-            self.enclave.memory().free(node.addr, node.len);
-            self.used_bytes -= node.len;
-            self.free_slots.push(idx);
+            self.release(idx);
         }
+    }
+
+    /// Frees a detached node's allocation and slab slot.
+    fn release(&mut self, idx: usize) {
+        let node = &self.slab[idx];
+        if node.alloc_len > 0 {
+            self.enclave.memory().free(node.addr, node.alloc_len);
+        }
+        self.used_bytes -= node.len;
+        self.free_slots.push(idx);
     }
 
     fn evict_to_budget(&mut self) {
@@ -177,10 +191,7 @@ impl EnclaveCache {
             let key = std::mem::take(&mut self.slab[victim].key);
             self.detach(victim);
             self.map.remove(&key);
-            let node = &self.slab[victim];
-            self.enclave.memory().free(node.addr, node.len);
-            self.used_bytes -= node.len;
-            self.free_slots.push(victim);
+            self.release(victim);
         }
     }
 
@@ -282,6 +293,33 @@ mod tests {
         assert!(c.is_empty());
         c.put(b"l", &[0u8; 100]);
         assert_eq!(c.len(), 1);
+        vclock::reset();
+    }
+
+    #[test]
+    fn shrinking_update_then_remove_returns_every_epc_byte() {
+        let mut c = cache(1024);
+        vclock::reset();
+        let enclave = Arc::clone(&c.enclave);
+        let memory = enclave.memory();
+        let base = memory.live_bytes();
+        c.put(b"k", &[1u8; 100]);
+        let held = memory.live_bytes() - base;
+        assert_eq!(held, EnclaveMemory::class_len(100));
+        c.put(b"k", &[2u8; 20]); // in place: the allocation keeps its class
+        assert_eq!(memory.live_bytes() - base, held);
+        assert_eq!(c.get(b"k").unwrap(), vec![2u8; 20]);
+        c.remove(b"k");
+        assert_eq!(memory.live_bytes(), base, "remove must free the allocation's whole class");
+        // The same through a reallocating update and an eviction.
+        c.put(b"j", &[1u8; 20]);
+        c.put(b"j", &[2u8; 300]);
+        assert_eq!(memory.live_bytes() - base, EnclaveMemory::class_len(300));
+        c.put(b"j", &[3u8; 16]);
+        c.put(b"big", &[4u8; 1020]); // evicts `j`
+        assert!(c.get(b"j").is_none());
+        c.remove(b"big");
+        assert_eq!(memory.live_bytes(), base);
         vclock::reset();
     }
 

@@ -469,9 +469,10 @@ impl ShieldStore {
                             return Err(Error::Persistence("corrupt snapshot entry".into()));
                         }
                         let bytes = read_vec(&mut r, len, MAX_ENTRY_LEN)?;
-                        restore_entry(
-                            ctx, &keys, bucket, &bytes, mac_bucket, mac_cap, shard_idx, num_shards,
-                        )?;
+                        restore_entry(ctx, &keys, bucket, &bytes, shard_idx, num_shards)?;
+                    }
+                    if mac_bucket {
+                        build_mac_buckets(ctx, mac_cap)?;
                     }
                     ctx.macs.import(mac_array)?;
                 }
@@ -553,14 +554,11 @@ pub(crate) fn verify_snapshot(
 
 /// Re-links one serialized entry into a table during restore, verifying
 /// its MAC before trusting it.
-#[allow(clippy::too_many_arguments)]
 fn restore_entry(
     ctx: &mut TableCtx,
     keys: &StoreKeys,
     bucket: usize,
     bytes: &[u8],
-    mac_bucket: bool,
-    mac_cap: usize,
     shard_idx: usize,
     num_shards: usize,
 ) -> Result<()> {
@@ -618,15 +616,27 @@ fn restore_entry(
         }
         ctx.heap.write_u64_at(tail, entry::OFF_NEXT, handle);
     }
-    if mac_bucket {
-        // Append the MAC at the tail of the MAC chain to mirror the entry
-        // chain order: gather, push, rebuild via insert_front in reverse
-        // would be O(n^2); instead use set/insert helpers.
-        let mut head = ctx.mac_heads[bucket];
-        crate::mac_bucket::insert_back(&mut ctx.heap, &mut head, &header.mac, mac_cap);
-        ctx.mac_heads[bucket] = head;
-    }
     ctx.count += 1;
+    Ok(())
+}
+
+/// Writes every bucket's MAC side array from its restored entry chain,
+/// in chain order, through the same node routine live writes use. The
+/// MACs come from headers whose entries were each verified on restore;
+/// the sealed set hashes then check the result.
+fn build_mac_buckets(ctx: &mut TableCtx, mac_cap: usize) -> Result<()> {
+    let mut macs = Vec::new();
+    for bucket in 0..ctx.buckets() {
+        macs.clear();
+        let mut h = ctx.heads[bucket];
+        while h != crate::alloc::NULL_HANDLE {
+            let header = ctx.header(h);
+            macs.extend_from_slice(&header.mac);
+            h = header.next;
+        }
+        crate::mac_bucket::store(&mut ctx.heap, &mut ctx.mac_heads[bucket], 0, &macs, mac_cap)
+            .ok_or_else(|| Error::Persistence("MAC bucket rebuild failed".into()))?;
+    }
     Ok(())
 }
 

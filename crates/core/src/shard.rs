@@ -42,6 +42,7 @@ use parking_lot::Mutex;
 use sgx_sim::enclave::Enclave;
 use shield_crypto::cmac::Cmac;
 use shield_crypto::siphash::SipHash24;
+use shield_crypto::Tag128;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -247,8 +248,139 @@ pub(crate) struct Scratch {
     entry: Vec<u8>,
     /// Candidate-key decryption during chain searches.
     key: Vec<u8>,
-    /// MAC side-array gathers for the absence/membership checks.
-    side: Vec<u8>,
+    /// The enclave copy of the last verified bucket set's MACs.
+    view: SetView,
+}
+
+/// The enclave copy of one bucket set's MACs, taken by [`verify_set`]
+/// while it checks them against the stored set hash. Everything that
+/// follows within the operation — the side-array liveness and absence
+/// checks, the edits a write makes, and the new set hash — reads this
+/// copy and never re-reads MACs from untrusted memory. An attacker who
+/// rewrites untrusted memory after the verify (say, swapping a stale
+/// entry and its old side-array MAC back in) therefore cannot get the
+/// change endorsed by the next stored hash.
+#[derive(Default)]
+pub(crate) struct SetView {
+    /// The verified set; `None` until a verification succeeds.
+    set: Option<usize>,
+    /// The set's first bucket.
+    first: usize,
+    /// The set's MACs, bucket after bucket, each bucket in chain order.
+    macs: Vec<u8>,
+    /// MAC index at which each bucket of the set starts, then the total.
+    starts: Vec<usize>,
+}
+
+impl SetView {
+    /// Reads `set`'s MACs from the side arrays (MAC bucketing) or the
+    /// entry chains. `false` when the untrusted structure cannot be
+    /// walked (unreadable pointer, cycle, inflated or non-canonical
+    /// count); the view then holds no set.
+    fn load(&mut self, cfg: &ShardConfig, ctx: &TableCtx, set: usize) -> bool {
+        self.set = None;
+        self.macs.clear();
+        self.starts.clear();
+        let buckets = ctx.sets.buckets_of(set);
+        self.first = buckets.start;
+        self.starts.push(0);
+        // No honest bucket holds more MACs than the whole table.
+        let max_macs = ctx.count.saturating_add(1);
+        for bucket in buckets {
+            if cfg.mac_bucket {
+                let head = ctx.mac_heads[bucket];
+                if mac_bucket::try_gather(&ctx.heap, head, &mut self.macs, max_macs, cfg.mac_cap)
+                    .is_none()
+                {
+                    return false;
+                }
+            } else {
+                let mut steps = 0usize;
+                let mut h = ctx.heads[bucket];
+                while h != NULL_HANDLE {
+                    steps += 1;
+                    let Some(header) = ctx.try_header(h).filter(|_| steps <= max_macs) else {
+                        return false;
+                    };
+                    self.macs.extend_from_slice(&header.mac);
+                    h = header.next;
+                }
+            }
+            self.starts.push(self.macs.len() / 16);
+        }
+        true
+    }
+
+    /// Number of MACs in the view.
+    fn len(&self) -> usize {
+        self.macs.len() / 16
+    }
+
+    /// The set hash of the view: one CMAC over every MAC, keyed by the
+    /// master MAC key.
+    fn hash(&self, keys: &StoreKeys) -> Tag128 {
+        if self.macs.is_empty() {
+            return EMPTY_SET_HASH;
+        }
+        let mut mac_ctx = keys.mac.ctx();
+        mac_ctx.update(&self.macs);
+        mac_ctx.finalize()
+    }
+
+    /// Byte range of `bucket`'s MACs within `macs`; `None` when no set
+    /// is verified or `bucket` lies outside it.
+    fn range(&self, bucket: usize) -> Option<std::ops::Range<usize>> {
+        self.set?;
+        let i = bucket.checked_sub(self.first)?;
+        Some(self.starts.get(i)? * 16..self.starts.get(i + 1)? * 16)
+    }
+
+    /// `bucket`'s verified MACs, in chain order.
+    fn bucket(&self, bucket: usize) -> Option<&[u8]> {
+        self.range(bucket).map(|r| &self.macs[r])
+    }
+
+    /// The MAC at chain position `pos` of `bucket`.
+    fn mac_at(&self, bucket: usize, pos: usize) -> Option<&[u8]> {
+        self.bucket(bucket)?.get(pos * 16..(pos + 1) * 16)
+    }
+
+    // The edits below return the bucket's MAC count before the edit,
+    // which sizes its current MAC-bucket nodes (`store_bucket_macs`).
+
+    /// Adds `mac` at the head of `bucket`'s chain.
+    fn insert_front(&mut self, bucket: usize, mac: &Tag128) -> Option<usize> {
+        let range = self.range(bucket)?;
+        self.macs.extend_from_slice(mac);
+        self.macs[range.start..].rotate_right(16);
+        let i = bucket - self.first;
+        self.starts[i + 1..].iter_mut().for_each(|s| *s += 1);
+        Some(range.len() / 16)
+    }
+
+    /// Overwrites the MAC at chain position `pos` of `bucket`.
+    fn replace(&mut self, bucket: usize, pos: usize, mac: &Tag128) -> Option<usize> {
+        let range = self.range(bucket)?;
+        let at = range.start + pos * 16;
+        if at + 16 > range.end {
+            return None;
+        }
+        self.macs[at..at + 16].copy_from_slice(mac);
+        Some(range.len() / 16)
+    }
+
+    /// Removes the MAC at chain position `pos` of `bucket`.
+    fn remove(&mut self, bucket: usize, pos: usize) -> Option<usize> {
+        let range = self.range(bucket)?;
+        let at = range.start + pos * 16;
+        if at + 16 > range.end {
+            return None;
+        }
+        self.macs.drain(at..at + 16);
+        let i = bucket - self.first;
+        self.starts[i + 1..].iter_mut().for_each(|s| *s -= 1);
+        Some(range.len() / 16)
+    }
 }
 
 /// One hash partition of the store.
@@ -388,96 +520,62 @@ fn search(
     None
 }
 
-/// Derives the bucket-set MAC hash for `set` in one streaming pass: the
-/// entry MACs of every bucket are absorbed straight into a CMAC context
-/// (via MAC buckets — contiguous reads — or entry-chain pointer chasing)
-/// with no intermediate concatenation buffer, so the hash of a large set
-/// costs one pipelined CMAC and zero allocations. The CMAC is keyed by
-/// the *master* MAC key — entry MACs are per-tenant, but the set hash
-/// binds them all under a key no tenant (or tenant-key thief) holds.
-/// `None` means the untrusted structure itself is corrupt (unreadable
-/// pointer, cycle, inflated count field) — callers surface it as an
-/// integrity violation.
-fn derive_set_hash(
-    cfg: &ShardConfig,
-    keys: &StoreKeys,
-    ctx: &TableCtx,
-    stats: &mut OpStats,
-    set: usize,
-) -> Option<[u8; 16]> {
-    let max_macs = ctx.count.saturating_add(1);
-    let mut mac_ctx = keys.mac.ctx();
-    let mut absorbed = 0u64;
-    for bucket in ctx.sets.buckets_of(set) {
-        if cfg.mac_bucket {
-            let n = mac_bucket::try_absorb(&ctx.heap, ctx.mac_heads[bucket], max_macs, &mut |m| {
-                mac_ctx.update(m)
-            })?;
-            absorbed += n as u64;
-        } else {
-            let mut steps = 0usize;
-            let mut h = ctx.heads[bucket];
-            while h != NULL_HANDLE {
-                steps += 1;
-                if steps > max_macs {
-                    return None;
-                }
-                let header = ctx.try_header(h)?;
-                mac_ctx.update(&header.mac);
-                absorbed += 1;
-                h = header.next;
-            }
-        }
-    }
-    stats.macs_gathered += absorbed;
-    Some(if absorbed == 0 { EMPTY_SET_HASH } else { mac_ctx.finalize() })
-}
-
 /// The stored hash for an empty bucket set.
 const EMPTY_SET_HASH: [u8; 16] = [0u8; 16];
 
-/// Verifies the bucket-set MAC hash for `set` against untrusted state.
+/// Verifies the bucket-set MAC hash for `set` against untrusted state,
+/// keeping the verified MACs in `view` for the rest of the operation.
+///
+/// The MACs of every bucket in the set are gathered (via MAC buckets —
+/// contiguous reads — or entry-chain pointer chasing) into the enclave
+/// copy and hashed with one CMAC keyed by the *master* MAC key — entry
+/// MACs are per-tenant, but the set hash binds them all under a key no
+/// tenant (or tenant-key thief) holds. An untrusted structure that cannot
+/// be walked (unreadable pointer, cycle, inflated count field) is an
+/// integrity violation.
 fn verify_set(
     cfg: &ShardConfig,
     keys: &StoreKeys,
     ctx: &TableCtx,
     stats: &mut OpStats,
+    view: &mut SetView,
     set: usize,
 ) -> Result<()> {
     stats.integrity_verifications += 1;
-    let Some(recomputed) = derive_set_hash(cfg, keys, ctx, stats, set) else {
-        return Err(Error::IntegrityViolation { bucket: ctx.sets.buckets_of(set).start });
-    };
-    let stored = ctx.macs.get(set);
-    if integrity::verify_set_hash(&stored, &recomputed) {
+    let violation = Error::IntegrityViolation { bucket: ctx.sets.buckets_of(set).start };
+    if !view.load(cfg, ctx, set) {
+        return Err(violation);
+    }
+    stats.macs_gathered += view.len() as u64;
+    if integrity::verify_set_hash(&ctx.macs.get(set), &view.hash(keys)) {
+        view.set = Some(set);
         Ok(())
     } else {
-        Err(Error::IntegrityViolation { bucket: ctx.sets.buckets_of(set).start })
+        Err(violation)
     }
 }
 
-/// Miss-path consistency check for MAC bucketing. The gather reads the
-/// MAC side arrays, so an attacker who unlinks a *data entry* (leaving
-/// the MAC bucket intact) would pass the set-hash check and turn the key
-/// into a silent miss. A *found* key proves its own membership (its MAC
-/// is verified against content and covered by the set hash), so the
-/// chain walk is only paid when a search comes back empty — keeping the
-/// very pointer-chasing MAC bucketing exists to avoid off the hit path.
+/// Miss-path consistency check for MAC bucketing. The set hash covers
+/// the MAC side arrays, so an attacker who unlinks a *data entry*
+/// (leaving the MAC bucket intact) would pass the set-hash check and
+/// turn the key into a silent miss. A *found* key proves its own
+/// membership (its MAC is verified against content and covered by the
+/// set hash), so the chain walk is only paid when a search comes back
+/// empty — keeping the very pointer-chasing MAC bucketing exists to
+/// avoid off the hit path. The comparison is against the verified view.
 fn verify_absence_consistency(
     cfg: &ShardConfig,
     ctx: &TableCtx,
-    scratch: &mut Scratch,
+    view: &SetView,
     bucket: usize,
 ) -> Result<()> {
     if !cfg.mac_bucket {
         return Ok(());
     }
-    let max_macs = ctx.count.saturating_add(1);
-    let side = &mut scratch.side;
-    side.clear();
-    if mac_bucket::try_gather(&ctx.heap, ctx.mac_heads[bucket], side, max_macs).is_none() {
+    let Some(side) = view.bucket(bucket) else {
         return Err(Error::IntegrityViolation { bucket });
-    }
+    };
+    let max_macs = ctx.count.saturating_add(1);
     // Element-wise walk: every chained entry's header MAC must sit at its
     // chain position in the side array, and the two must have equal
     // length. This catches unlinking, splicing-in, reordering, and an
@@ -510,80 +608,86 @@ fn verify_absence_consistency(
 /// valid MAC, written back over the same allocation) passes both the
 /// entry's own MAC check and the set-hash check. The side array only
 /// ever holds the MACs of the *current* entry versions: requiring the
-/// found entry's header MAC to appear there pins every hit to a live
-/// version. The fast path compares positionally; after a structural
-/// attack elsewhere in the chain (an unlink shifting positions) an
-/// innocent entry falls back to a membership scan and keeps working —
-/// hits prove themselves. Without MAC bucketing the set hash is derived
-/// from the entry chain itself, so a replayed MAC already breaks it and
-/// no extra check is needed.
+/// found entry's header MAC to appear in the verified view pins every
+/// hit to a live version. The fast path compares positionally; after a
+/// structural attack elsewhere in the chain (an unlink shifting
+/// positions) an innocent entry falls back to a membership scan and
+/// keeps working — hits prove themselves. Without MAC bucketing the set
+/// hash is derived from the entry chain itself, so a replayed MAC
+/// already breaks it and no extra check is needed.
 fn verify_side_mac_read(
     cfg: &ShardConfig,
-    ctx: &TableCtx,
+    view: &SetView,
     stats: &mut OpStats,
-    scratch: &mut Scratch,
     bucket: usize,
     found: &Found,
 ) -> Result<()> {
     if !cfg.mac_bucket {
         return Ok(());
     }
-    let max_macs = ctx.count.saturating_add(1);
-    if mac_bucket::try_get_at(&ctx.heap, ctx.mac_heads[bucket], found.pos, max_macs)
-        == Some(found.header.mac)
-    {
+    if view.mac_at(bucket, found.pos) == Some(found.header.mac.as_slice()) {
         return Ok(());
     }
     // Positional mismatch: either an attack on this entry (replay) or a
     // structural attack elsewhere in the chain. Membership decides.
     stats.side_mac_fallbacks += 1;
-    let side = &mut scratch.side;
-    side.clear();
-    if mac_bucket::try_gather(&ctx.heap, ctx.mac_heads[bucket], side, max_macs).is_none() {
-        return Err(Error::IntegrityViolation { bucket });
+    match view.bucket(bucket) {
+        Some(side) if side.chunks_exact(16).any(|m| m == found.header.mac) => Ok(()),
+        _ => Err(Error::IntegrityViolation { bucket }),
     }
-    if side.chunks_exact(16).any(|m| m == found.header.mac) {
+}
+
+/// Write-path variant of [`verify_side_mac_read`]: strictly positional,
+/// with or without MAC bucketing. A write edits the verified view *by
+/// chain position*, so a write through a desynchronized position would
+/// endorse the wrong slot (and could launder a stale MAC back into the
+/// endorsed set). A bucket whose chain and verified MACs have drifted
+/// apart refuses all mutations.
+fn verify_side_mac_write(view: &SetView, bucket: usize, found: &Found) -> Result<()> {
+    if view.mac_at(bucket, found.pos) == Some(found.header.mac.as_slice()) {
         Ok(())
     } else {
         Err(Error::IntegrityViolation { bucket })
     }
 }
 
-/// Write-path variant of [`verify_side_mac_read`]: strictly positional.
-/// `set_at`/`remove_at` mutate the side array *by chain position*, so a
-/// write through a desynchronized position would endorse the wrong slot
-/// (and could launder a stale MAC back into the endorsed set). A bucket
-/// whose chain and side array have drifted apart refuses all mutations.
-fn verify_side_mac_write(
+/// Writes `bucket`'s MACs from the view back to its MAC-bucket nodes
+/// after an edit of the view. `edited` is the edit's result: the
+/// bucket's verified MAC count before the edit, which sizes the current
+/// nodes, or `None` when the edit did not apply. Without MAC bucketing
+/// the entry chain is the record and only the edit's result is checked.
+fn store_bucket_macs(
     cfg: &ShardConfig,
-    ctx: &TableCtx,
+    ctx: &mut TableCtx,
+    view: &SetView,
     bucket: usize,
-    found: &Found,
+    edited: Option<usize>,
 ) -> Result<()> {
-    if !cfg.mac_bucket {
-        return Ok(());
-    }
-    let max_macs = ctx.count.saturating_add(1);
-    match mac_bucket::try_get_at(&ctx.heap, ctx.mac_heads[bucket], found.pos, max_macs) {
-        Some(side) if side == found.header.mac => Ok(()),
-        _ => Err(Error::IntegrityViolation { bucket }),
-    }
+    let stored = edited.and_then(|old_count| {
+        if !cfg.mac_bucket {
+            return Some(());
+        }
+        let macs = view.bucket(bucket)?;
+        mac_bucket::store(&mut ctx.heap, &mut ctx.mac_heads[bucket], old_count, macs, cfg.mac_cap)
+    });
+    stored.ok_or(Error::IntegrityViolation { bucket })
 }
 
-/// Recomputes and stores the bucket-set hash after a mutation. Fails —
-/// leaving the stored hash untouched, so later verification fails closed
-/// — when the untrusted structure cannot be walked.
+/// Stores the set hash of the view's (edited) set after a mutation. The
+/// hash is derived from the enclave copy, never from untrusted memory.
 fn update_set_hash(
-    cfg: &ShardConfig,
     keys: &StoreKeys,
     ctx: &mut TableCtx,
     stats: &mut OpStats,
-    set: usize,
+    view: &SetView,
 ) -> Result<()> {
-    let Some(tag) = derive_set_hash(cfg, keys, ctx, stats, set) else {
-        return Err(Error::IntegrityViolation { bucket: ctx.sets.buckets_of(set).start });
+    #[cfg(any(test, feature = "testing"))]
+    crate::testing::fire_before_hash_store(ctx);
+    let Some(set) = view.set else {
+        return Err(Error::IntegrityViolation { bucket: view.first });
     };
-    ctx.macs.set(set, &tag);
+    stats.macs_gathered += view.len() as u64;
+    ctx.macs.set(set, &view.hash(keys));
     Ok(())
 }
 
@@ -603,7 +707,7 @@ fn get_in(
 ) -> Result<Option<(Vec<u8>, u64)>> {
     let bucket = bucket_of(keys, ctx, key);
     let set = ctx.sets.set_of(bucket);
-    verify_set(cfg, keys, ctx, stats, set)?;
+    verify_set(cfg, keys, ctx, stats, &mut scratch.view, set)?;
     get_in_bucket(cfg, keys, op, ctx, stats, scratch, bucket, key)
 }
 
@@ -637,7 +741,7 @@ fn get_in_bucket(
                 scratch.entry = plain;
                 return Err(Error::IntegrityViolation { bucket });
             }
-            if let Err(e) = verify_side_mac_read(cfg, ctx, stats, scratch, bucket, &found) {
+            if let Err(e) = verify_side_mac_read(cfg, &scratch.view, stats, bucket, &found) {
                 plain.iter_mut().for_each(|b| *b = 0);
                 plain.clear();
                 scratch.entry = plain;
@@ -662,7 +766,7 @@ fn get_in_bucket(
         }
         Some(SearchOutcome::Tampered) => Err(Error::IntegrityViolation { bucket }),
         None => {
-            verify_absence_consistency(cfg, ctx, scratch, bucket)?;
+            verify_absence_consistency(cfg, ctx, &scratch.view, bucket)?;
             Ok(None)
         }
     }
@@ -682,9 +786,9 @@ fn set_in(
 ) -> Result<bool> {
     let bucket = bucket_of(keys, ctx, key);
     let set = ctx.sets.set_of(bucket);
-    verify_set(cfg, keys, ctx, stats, set)?;
+    verify_set(cfg, keys, ctx, stats, &mut scratch.view, set)?;
     let inserted = set_in_bucket(cfg, keys, op, ctx, stats, scratch, bucket, key, value)?;
-    update_set_hash(cfg, keys, ctx, stats, set)?;
+    update_set_hash(keys, ctx, stats, &scratch.view)?;
     Ok(inserted)
 }
 
@@ -729,7 +833,7 @@ fn set_in_bucket(
         Some(SearchOutcome::Found(found)) => {
             // A stale replayed entry must not be accepted as the base of
             // an update (its IV+1 would reuse an already-spent counter).
-            verify_side_mac_write(cfg, ctx, bucket, &found)?;
+            verify_side_mac_write(&scratch.view, bucket, &found)?;
             let old_len = found.header.entry_len();
             if let Some(st) = op.meter.map(|m| &m.state) {
                 if new_len > old_len {
@@ -760,9 +864,8 @@ fn set_in_bucket(
                     &op.tkeys.enc,
                     &op.tkeys.mac,
                 );
-                if cfg.mac_bucket {
-                    mac_bucket::set_at(&mut ctx.heap, ctx.mac_heads[bucket], found.pos, &mac);
-                }
+                let edited = scratch.view.replace(bucket, found.pos, &mac);
+                store_bucket_macs(cfg, ctx, &scratch.view, bucket, edited)?;
                 stats.inplace_updates += 1;
             } else {
                 let fresh = ctx.heap.alloc(new_len);
@@ -789,15 +892,14 @@ fn set_in_bucket(
                     ctx.heap.write_u64_at(found.prev, entry::OFF_NEXT, fresh);
                 }
                 ctx.heap.free(found.handle, old_len);
-                if cfg.mac_bucket {
-                    mac_bucket::set_at(&mut ctx.heap, ctx.mac_heads[bucket], found.pos, &mac);
-                }
+                let edited = scratch.view.replace(bucket, found.pos, &mac);
+                store_bucket_macs(cfg, ctx, &scratch.view, bucket, edited)?;
                 stats.realloc_updates += 1;
             }
             false
         }
         None => {
-            verify_absence_consistency(cfg, ctx, scratch, bucket)?;
+            verify_absence_consistency(cfg, ctx, &scratch.view, bucket)?;
             if let Some(st) = op.meter.map(|m| &m.state) {
                 if !st.usage.try_charge(&st.quota, new_len as u64, 1) {
                     return Err(quota_reject(op, stats));
@@ -823,11 +925,8 @@ fn set_in_bucket(
             );
             ctx.heap.bytes_mut(fresh, new_len).copy_from_slice(buf);
             ctx.heads[bucket] = fresh;
-            if cfg.mac_bucket {
-                let mut head = ctx.mac_heads[bucket];
-                mac_bucket::insert_front(&mut ctx.heap, &mut head, &mac, cfg.mac_cap);
-                ctx.mac_heads[bucket] = head;
-            }
+            let edited = scratch.view.insert_front(bucket, &mac);
+            store_bucket_macs(cfg, ctx, &scratch.view, bucket, edited)?;
             ctx.count += 1;
             stats.inserts += 1;
             true
@@ -865,7 +964,7 @@ fn delete_in(
 ) -> Result<bool> {
     let bucket = bucket_of(keys, ctx, key);
     let set = ctx.sets.set_of(bucket);
-    verify_set(cfg, keys, ctx, stats, set)?;
+    verify_set(cfg, keys, ctx, stats, &mut scratch.view, set)?;
     let hint = keys.hint_byte(key);
     let found = match search(cfg, keys, op, ctx, stats, scratch, bucket, hint, key) {
         Some(SearchOutcome::Found(found)) => found,
@@ -873,11 +972,11 @@ fn delete_in(
             return Err(Error::IntegrityViolation { bucket });
         }
         None => {
-            verify_absence_consistency(cfg, ctx, scratch, bucket)?;
+            verify_absence_consistency(cfg, ctx, &scratch.view, bucket)?;
             return Ok(false);
         }
     };
-    verify_side_mac_write(cfg, ctx, bucket, &found)?;
+    verify_side_mac_write(&scratch.view, bucket, &found)?;
 
     if !reap_expired && found.header.expired_at(op.now) {
         // Fail-closed deadline trust: verify the entry MAC before
@@ -899,16 +998,13 @@ fn delete_in(
         ctx.heap.write_u64_at(found.prev, entry::OFF_NEXT, found.header.next);
     }
     ctx.heap.free(found.handle, found.header.entry_len());
-    if cfg.mac_bucket {
-        let mut head = ctx.mac_heads[bucket];
-        mac_bucket::remove_at(&mut ctx.heap, &mut head, found.pos, cfg.mac_cap);
-        ctx.mac_heads[bucket] = head;
-    }
+    let edited = scratch.view.remove(bucket, found.pos);
+    store_bucket_macs(cfg, ctx, &scratch.view, bucket, edited)?;
     ctx.count -= 1;
     if let Some(slot) = op.meter {
         slot.state.usage.discharge(found.header.entry_len() as u64, 1);
     }
-    update_set_hash(cfg, keys, ctx, stats, set)?;
+    update_set_hash(keys, ctx, stats, &scratch.view)?;
     Ok(true)
 }
 
@@ -1396,7 +1492,7 @@ impl Shard {
             if verified == Some(set) {
                 stats.batch_verifications_saved += 1;
             } else {
-                verify_set(cfg, keys, main, stats, set)?;
+                verify_set(cfg, keys, main, stats, &mut scratch.view, set)?;
                 verified = Some(set);
             }
             if let Some((v, exp)) =
@@ -1490,10 +1586,10 @@ impl Shard {
                 stats.batch_verifications_saved += 1;
                 stats.batch_hash_updates_saved += 1;
             } else {
-                if let Some(prev) = current {
-                    update_set_hash(cfg, keys, main, stats, prev)?;
+                if current.is_some() {
+                    update_set_hash(keys, main, stats, &scratch.view)?;
                 }
-                verify_set(cfg, keys, main, stats, set)?;
+                verify_set(cfg, keys, main, stats, &mut scratch.view, set)?;
                 current = Some(set);
             }
             let (key, value) = items[i];
@@ -1503,7 +1599,7 @@ impl Shard {
                     // even on a quota rejection mid-batch: earlier items in
                     // this set already mutated their buckets.
                     if matches!(e, Error::QuotaExceeded { .. }) {
-                        let _ = update_set_hash(cfg, keys, main, stats, set);
+                        let _ = update_set_hash(keys, main, stats, &scratch.view);
                     }
                     e
                 },
@@ -1520,8 +1616,8 @@ impl Shard {
                 index.insert(&nskey(tenant, key));
             }
         }
-        if let Some(prev) = current {
-            update_set_hash(cfg, keys, main, stats, prev)?;
+        if current.is_some() {
+            update_set_hash(keys, main, stats, &scratch.view)?;
         }
         Ok(())
     }
@@ -2028,13 +2124,15 @@ impl Shard {
     /// the sealed MAC hash array.
     pub fn verify_all_sets(&mut self) -> Result<()> {
         let main = self.main.as_ref().expect("main table present");
+        let view = &mut self.scratch.view;
         for set in 0..main.sets.num_sets() {
-            verify_set(&self.cfg, &self.keys, main, &mut self.stats, set)?;
-        }
-        // With MAC bucketing, also cross-check every chain length so an
-        // unlinked entry in the restored table cannot hide.
-        for bucket in 0..main.buckets() {
-            verify_absence_consistency(&self.cfg, main, &mut self.scratch, bucket)?;
+            verify_set(&self.cfg, &self.keys, main, &mut self.stats, view, set)?;
+            // With MAC bucketing, also cross-check every chain against
+            // its side array so an unlinked entry in the restored table
+            // cannot hide.
+            for bucket in main.sets.buckets_of(set) {
+                verify_absence_consistency(&self.cfg, main, view, bucket)?;
+            }
         }
         Ok(())
     }
@@ -2174,6 +2272,21 @@ mod tests {
         s.set(b"k", &[2u8; 500]).unwrap(); // outgrows class
         assert_eq!(s.stats().realloc_updates, 1);
         assert_eq!(s.get(b"k").unwrap(), vec![2u8; 500]);
+        vclock::reset();
+    }
+
+    #[test]
+    fn shrinking_update_then_delete_frees_every_heap_byte() {
+        let mut s = shard_with(small_cfg());
+        vclock::reset();
+        s.set(b"k", &[1u8; 100]).unwrap();
+        s.set(b"k", &[2u8; 20]).unwrap(); // a smaller class: reallocated
+        assert_eq!(s.get(b"k").unwrap(), vec![2u8; 20]);
+        s.set(b"k", &[3u8; 21]).unwrap(); // same class: in place
+        assert_eq!(s.stats().inplace_updates, 1);
+        s.delete(b"k").unwrap();
+        let live = s.main_table().map(|t| t.heap.live_bytes());
+        assert_eq!(live, Some(0), "entry and MAC node frees return their whole classes");
         vclock::reset();
     }
 

@@ -27,6 +27,10 @@ pub struct TableCtx {
     pub sets: BucketSets,
     /// Live entry count.
     pub count: usize,
+    /// A rollback armed to run just before the next set-hash store
+    /// (testing only; see `Shard::arm_rollback_before_hash_store`).
+    #[cfg(any(test, feature = "testing"))]
+    pub(crate) before_hash_store: Option<crate::testing::StaleEntry>,
 }
 
 impl std::fmt::Debug for TableCtx {
@@ -49,6 +53,8 @@ impl TableCtx {
             macs,
             sets,
             count: 0,
+            #[cfg(any(test, feature = "testing"))]
+            before_hash_store: None,
         }
     }
 

@@ -137,12 +137,12 @@ impl Shard {
             TamperOp::Splice => splice_entry(main, seed),
             TamperOp::MacSideArray => tamper_mac_node(main, seed),
             TamperOp::HeapChunk => {
-                let chunks = main.heap.chunk_count();
-                if chunks == 0 {
+                let slots = main.heap.chunk_slots();
+                let chunk = (mix(seed) as usize) % slots.max(1);
+                let len = main.heap.chunk_len(chunk);
+                if len == 0 {
                     false
                 } else {
-                    let chunk = (mix(seed) as usize) % chunks;
-                    let len = main.heap.chunk_len(chunk);
                     let offset = (mix(seed ^ 0xc4a7) as usize) % len;
                     main.heap.corrupt_raw(chunk, offset, 1 << (seed % 8))
                 }
@@ -186,11 +186,55 @@ impl Shard {
         true
     }
 
+    /// Arms a rollback that fires inside the next write to this shard's
+    /// main table, after the write has changed untrusted memory and just
+    /// before it stores the new bucket-set hash: `stale`'s bytes go back
+    /// over its allocation (keeping the current chain pointer), and the
+    /// stale entry MAC replaces the current one wherever a MAC side array
+    /// holds it. A store that re-read MACs from untrusted memory to derive
+    /// the new hash would endorse the stale version.
+    pub fn arm_rollback_before_hash_store(&mut self, stale: StaleEntry) {
+        if let Some(main) = self.main_table_mut() {
+            main.before_hash_store = Some(stale);
+        }
+    }
+
     fn record_attack_step(&self) {
         if let Some(main) = self.main_table() {
             main.heap.enclave().stats().record_attack_step();
         }
     }
+}
+
+/// Runs the rollback armed by [`Shard::arm_rollback_before_hash_store`],
+/// if any. Called by the store between a mutation and its hash store.
+pub(crate) fn fire_before_hash_store(ctx: &mut TableCtx) {
+    let Some(stale) = ctx.before_hash_store.take() else {
+        return;
+    };
+    let Some(current) = ctx.try_header(stale.handle) else {
+        return;
+    };
+    if stale.bytes.len() < entry::HEADER_LEN
+        || ctx.heap.try_bytes_at(stale.handle, 0, stale.bytes.len()).is_none()
+    {
+        return;
+    }
+    let stale_mac = entry::parse_header(&stale.bytes).mac;
+    ctx.heap.bytes_at_mut(stale.handle, 0, stale.bytes.len()).copy_from_slice(&stale.bytes);
+    ctx.heap.write_u64_at(stale.handle, entry::OFF_NEXT, current.next);
+    for node in checked_mac_nodes(ctx) {
+        let count = ctx.heap.try_read_u32_at(node, 8).unwrap_or(0) as usize;
+        for slot in 0..count {
+            let offset = 12 + slot * 16;
+            if let Some(mac) = ctx.heap.try_bytes_at_mut(node, offset, 16) {
+                if *mac == current.mac {
+                    mac.copy_from_slice(&stale_mac);
+                }
+            }
+        }
+    }
+    ctx.heap.enclave().stats().record_attack_step();
 }
 
 fn tamper_field(ctx: &mut TableCtx, field: EntryField, seed: u64) -> bool {
@@ -298,10 +342,10 @@ fn tamper_mac_node(ctx: &mut TableCtx, seed: u64) -> bool {
     let node = nodes[(mix(seed) as usize) % nodes.len()];
     // Aim at the MAC slots and count field; reading the node's own count
     // keeps the offset inside the allocation without knowing capacity.
-    let count = match ctx.heap.try_bytes_at(node, 8, 4) {
-        Some(b) => u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize,
-        None => return false,
+    let Some(count) = ctx.heap.try_read_u32_at(node, 8) else {
+        return false;
     };
+    let count = count as usize;
     let span = mac_bucket::node_len(count.clamp(1, 1 << 10));
     let offset = 8 + (mix(seed ^ 0x77aa) as usize) % (span - 8);
     if ctx.heap.try_bytes_at(node, offset, 1).is_none() {
@@ -321,6 +365,12 @@ impl ShieldStore {
     /// Captures stale copies of every entry in `shard` for replay.
     pub fn stale_entry_copies(&self, shard: usize) -> Vec<StaleEntry> {
         self.with_shard(shard, |s| s.stale_entry_copies())
+    }
+
+    /// Arms a rollback in `shard` that fires just before its next
+    /// set-hash store. See [`Shard::arm_rollback_before_hash_store`].
+    pub fn arm_rollback_before_hash_store(&self, shard: usize, stale: StaleEntry) {
+        self.with_shard(shard, |s| s.arm_rollback_before_hash_store(stale))
     }
 
     /// Replays a stale entry copy into `shard`. See

@@ -19,6 +19,17 @@ fn heap() -> UntrustedHeap {
     )
 }
 
+/// Heap bytes of a bucket holding `count` MACs: full nodes of `capacity`
+/// slots, then a tail with the next power of two of its MACs (at most
+/// `capacity`), each rounded up to its size class.
+fn mac_node_bytes(count: usize, capacity: usize) -> usize {
+    let node = |slots: usize| UntrustedHeap::class_len(12 + 16 * slots);
+    let full = count / capacity;
+    let tail = count % capacity;
+    let tail_bytes = if tail == 0 { 0 } else { node(tail.next_power_of_two().min(capacity)) };
+    full * node(capacity) + tail_bytes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
 
@@ -60,8 +71,10 @@ proptest! {
     }
 
     /// The MAC chain mirrors a reference vector under arbitrary
-    /// insert-front / insert-back / set / remove sequences, for any
-    /// node capacity.
+    /// insert-front / insert-back / set / remove sequences written back
+    /// through `mac_bucket::store`, for any node capacity; the heap holds
+    /// exactly the nodes the count implies after every step, and nothing
+    /// once the bucket is drained.
     #[test]
     fn mac_chain_mirrors_vec(
         capacity in 1usize..8,
@@ -72,36 +85,41 @@ proptest! {
         let mut reference: Vec<[u8; 16]> = Vec::new();
         for &(op, fill, ref idx) in &ops {
             let mac = [fill; 16];
+            let old_count = reference.len();
             match op {
-                0 => {
-                    mac_bucket::insert_front(&mut h, &mut head, &mac, capacity);
-                    reference.insert(0, mac);
-                }
-                1 => {
-                    mac_bucket::insert_back(&mut h, &mut head, &mac, capacity);
-                    reference.push(mac);
-                }
+                0 => reference.insert(0, mac),
+                1 => reference.push(mac),
                 2 if !reference.is_empty() => {
                     let at = idx.index(reference.len());
-                    mac_bucket::set_at(&mut h, head, at, &mac);
                     reference[at] = mac;
                 }
                 3 if !reference.is_empty() => {
-                    let at = idx.index(reference.len());
-                    mac_bucket::remove_at(&mut h, &mut head, at, capacity);
-                    reference.remove(at);
+                    reference.remove(idx.index(reference.len()));
                 }
                 _ => continue,
             }
+            prop_assert!(
+                mac_bucket::store(&mut h, &mut head, old_count, &reference.concat(), capacity)
+                    .is_some()
+            );
             let mut out = Vec::new();
-            mac_bucket::gather(&h, head, &mut out);
+            let n = mac_bucket::try_gather(&h, head, &mut out, usize::MAX, capacity);
+            prop_assert_eq!(n, Some(reference.len()));
             let got: Vec<[u8; 16]> = out.chunks(16).map(|c| c.try_into().unwrap()).collect();
             prop_assert_eq!(&got, &reference);
-            prop_assert_eq!(mac_bucket::len(&h, head), reference.len());
-            for (i, want) in reference.iter().enumerate() {
-                prop_assert_eq!(&mac_bucket::get_at(&h, head, i), want);
-            }
+            prop_assert_eq!(h.live_bytes(), mac_node_bytes(reference.len(), capacity));
         }
+        while !reference.is_empty() {
+            let old_count = reference.len();
+            reference.pop();
+            prop_assert!(
+                mac_bucket::store(&mut h, &mut head, old_count, &reference.concat(), capacity)
+                    .is_some()
+            );
+            prop_assert_eq!(h.live_bytes(), mac_node_bytes(reference.len(), capacity));
+        }
+        prop_assert_eq!(head, NULL_HANDLE);
+        prop_assert_eq!(h.live_bytes(), 0);
     }
 
     /// Entry encode/parse/decrypt/verify roundtrips for arbitrary keys,

@@ -142,6 +142,12 @@ impl EnclaveMemory {
         }
     }
 
+    /// The size-class length an allocation of `len` bytes occupies: two
+    /// allocation lengths with equal class lengths share one slot size.
+    pub fn class_len(len: usize) -> usize {
+        size_class(len)
+    }
+
     /// The EPC model metering this arena.
     pub fn epc(&self) -> &Arc<Epc> {
         &self.epc
